@@ -2,21 +2,23 @@
 
      bench.exe --workload explore-xcp|search-res152|serve-mix
                --seed N --seconds S --trace 0|1
-               [--mccm PATH] [--out DIR]
+               [--mccm PATH] [--out DIR] [--metrics A,B,...]
 
    With --trace 0 it prints the workload's end-to-end metrics; with
    --trace 1 it replays the same seeded inputs through timed calls into
    each layer and prints the per-layer metrics, writing the spans to
    DIR.  Every metric is printed with its unit and sample count; the
-   last line of standard output is the JSON summary (see report.ml).
+   last line of standard output is the JSON summary (see report.ml),
+   holding exactly the [--metrics] named, or every metric without it.
    [--mccm] names the mccm executable serve-mix launches as its daemon.
-   run.py builds both executables and passes it. *)
+   run.py builds both executables and passes both options. *)
 
 open Perfbench
 
 let usage () =
   prerr_endline
-    "usage: bench.exe --workload NAME --seed N --seconds S --trace 0|1 [--mccm PATH] [--out DIR]";
+    "usage: bench.exe --workload NAME --seed N --seconds S --trace 0|1 [--mccm PATH] [--out DIR] \
+     [--metrics A,B,...]";
   exit 2
 
 let () =
@@ -33,7 +35,7 @@ let () =
     exit 0
   | _ ->
     let workload = ref "" and seed = ref (-1) and seconds = ref 0.0 and trace = ref (-1) in
-    let mccm = ref "" and out = ref "." in
+    let mccm = ref "" and out = ref "." and only = ref None in
     let rec go = function
       | [] -> ()
       | "--workload" :: v :: r -> workload := v; go r
@@ -42,6 +44,7 @@ let () =
       | "--trace" :: v :: r -> trace := int_of_string v; go r
       | "--mccm" :: v :: r -> mccm := v; go r
       | "--out" :: v :: r -> out := v; go r
+      | "--metrics" :: v :: r -> only := Some (String.split_on_char ',' v); go r
       | _ -> usage ()
     in
     (try go args with Failure _ -> usage ());
@@ -66,4 +69,4 @@ let () =
             (float_of_int self /. 1e6))
         (Spans.by_layer spans)
     end;
-    Report.print report
+    Report.print ?only:!only report

@@ -43,6 +43,7 @@ let distinct model plan =
 
 type window = {
   elapsed_s : float;
+  call_s : float array;  (* each [Dse.Explore.run] call, in plan order *)
   distinct : int;
   mismatches : int;
   hwm_mb : float;
@@ -58,13 +59,16 @@ let window st ~seed i =
   let plan = plan ~seed i in
   let g0 = Gc.quick_stat () in
   let t0 = now_s () in
-  let rs =
+  let timed =
     List.map
       (fun (s, ces) ->
-        Dse.Explore.run ~seed:s ~ce_counts:[ ces ] ~session:st.session ~samples st.model board)
+        let c0 = now_s () in
+        let r = Dse.Explore.run ~seed:s ~ce_counts:[ ces ] ~session:st.session ~samples st.model board in
+        (r, now_s () -. c0))
       plan
   in
   let elapsed_s = now_s () -. t0 in
+  let rs = List.map fst timed in
   let gc = Forkrun.gc_delta g0 (Gc.quick_stat ()) in
   let hwm_mb = Forkrun.vm_hwm_mb () in
   let results =
@@ -87,6 +91,7 @@ let window st ~seed i =
   in
   {
     elapsed_s;
+    call_s = Array.of_list (List.map snd timed);
     distinct = distinct st.model plan;
     mismatches;
     hwm_mb;
@@ -122,7 +127,11 @@ let run_untraced report ~seed ~seconds =
   let probes = Windows.setup_probes ~k:15 [ "--setup-probe"; "explore-xcp" ] in
   let st = setup () in
   let o =
-    Windows.alternate ~seconds ~min_windows:5 ~timed:(fun w -> w.elapsed_s) (window st ~seed)
+    Windows.alternate ~seconds ~min_windows:5 ~timed:(fun w -> w.elapsed_s) (fun i ->
+        (* The checked designs stay in the child: kept here, they grew
+           this process's heap with every window, and with it the RSS of
+           every later child, so [peak_rss_mb] rose on a faster box. *)
+        { (window st ~seed i) with results = [] })
   in
   account report o;
   let ws = Windows.ok o in
@@ -131,7 +140,12 @@ let run_untraced report ~seed ~seconds =
   let raw = Pstats.median rates in
   Report.note report "calibration factor %.4f from %d units" f (Array.length o.Windows.unit_times);
   Report.add report ~raw ~samples:(Array.length rates) "designs_per_s" "1/s" (Calib.rate f raw);
-  Windows.setup_metric report probes;
+  (* An answer here is one [Dse.Explore.run] call: [samples] designs of
+     one CE count.  Every window makes the same calls, one per CE count. *)
+  let calls = Array.concat (List.map (fun w -> w.call_s) ws) in
+  let raw = Pstats.median calls in
+  Report.add report ~raw ~samples:(Array.length calls) "answer_s_p50" "s" (Calib.time_ f raw);
+  Windows.setup_metric report ~f probes;
   Report.add report ~samples:(List.length ws) "peak_rss_mb" "MiB"
     (Pstats.median (Array.of_list (List.map (fun w -> w.hwm_mb) ws)))
 

@@ -73,25 +73,43 @@ let box_line () =
 
 let finite m = Float.is_finite m.value
 
-let print t =
+(* [only]: the metrics the result line carries, in that order (the
+   manifest's end-to-end or per-layer list); every other metric is a
+   figure of this workload's own, printed in the table only.  Without
+   [only] the result line carries every metric. *)
+let print ?only t =
   let metrics = List.rev t.metrics in
+  let result =
+    match only with
+    | None -> metrics
+    | Some names ->
+      List.map
+        (fun n ->
+          match List.find_opt (fun m -> m.name = n) metrics with
+          | Some m -> m
+          | None -> failwith (Printf.sprintf "workload %s did not measure %s" t.workload n))
+        names
+  in
+  let figures = List.filter (fun m -> not (List.memq m result)) metrics in
   Printf.printf "workload: %s\n%s\n" t.workload (box_line ());
   List.iter (fun n -> Printf.printf "note: %s\n" n) (List.rev t.notes);
-  Printf.printf "%-34s %16s %-6s %8s %16s\n" "metric" "value" "unit" "samples"
-    "raw";
-  List.iter
-    (fun m ->
-      Printf.printf "%-34s %16.6g %-6s %8d %16s\n" m.name m.value m.unit_
-        m.samples
-        (match m.raw with Some r -> Printf.sprintf "%.6g" r | None -> "-"))
-    metrics;
+  let row m =
+    Printf.printf "%-34s %16.6g %-6s %8d %16s\n" m.name m.value m.unit_ m.samples
+      (match m.raw with Some r -> Printf.sprintf "%.6g" r | None -> "-")
+  in
+  Printf.printf "%-34s %16s %-6s %8s %16s\n" "metric" "value" "unit" "samples" "raw";
+  List.iter row result;
+  if figures <> [] then begin
+    Printf.printf "workload figures, not in the result line:\n";
+    List.iter row figures
+  end;
   List.iter
     (fun m ->
       let n = String.length m.name in
       if n > 4 && String.sub m.name (n - 4) 4 = "_p99" && Pstats.beyond ~n:m.samples ~pm:9900 < Pstats.min_beyond
       then Printf.printf "note: %s has fewer than %d samples beyond it\n" m.name Pstats.min_beyond)
     metrics;
-  let all_finite = List.for_all finite metrics in
+  let all_finite = List.for_all finite result in
   Printf.printf "attempted %d, failed %d\n" t.attempted t.failed;
   let json =
     Json.Obj
@@ -107,7 +125,7 @@ let print t =
                    Json.Obj
                      [ ("value", Json.Num m.value); ("unit", Json.Str m.unit_) ]
                  ))
-               metrics) );
+               result) );
       ]
   in
   print_string (Json.to_string json);

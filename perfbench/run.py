@@ -7,13 +7,17 @@
 Run it from the root of a checkout.  It builds perfbench/bench.exe and
 the mccm executable (bin/mccm_cli.exe, the daemon serve-mix launches)
 with dune into .bench_build/, then runs the benchmark and passes its
-output and exit code through.  Traced runs write their spans under
-.bench_build/traces/.  Every file it writes stays inside .bench_build/.
+output and exit code through.  The result line holds exactly the
+metrics BENCHMARK.json lists for the mode: its end_to_end metrics with
+--trace 0, its per_layer metrics with --trace 1.  Traced runs write
+their spans under .bench_build/traces/.  Every file it writes stays
+inside .bench_build/.
 
 The benchmark runs in a process group of its own, so on a timeout the
 whole group (daemon included) is killed and waited for.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -26,7 +30,7 @@ TARGETS = ["perfbench/bench.exe", "bin/mccm_cli.exe"]
 # A run must end within 180 s; leave room to kill and reap.
 RUN_TIMEOUT_S = 170
 BUILD_TIMEOUT_S = 840
-REQUIRED = ["dune-project", "lib", "bin/mccm_cli.ml", "perfbench/dune"]
+REQUIRED = ["BENCHMARK.json", "dune-project", "lib", "bin/mccm_cli.ml", "perfbench/dune"]
 
 
 def fail(msg):
@@ -54,12 +58,21 @@ def build():
     time.sleep(1.0)
 
 
+def manifest_metrics(args):
+    """The names BENCHMARK.json lists for the mode that args ask for."""
+    traced = "--trace" in args[:-1] and args[args.index("--trace") + 1] == "1"
+    with open("BENCHMARK.json") as f:
+        manifest = json.load(f)
+    return [m["name"] for m in manifest["per_layer" if traced else "end_to_end"]]
+
+
 def run(args):
     exe = os.path.join(DUNE_BUILD, "default", "perfbench", "bench.exe")
     mccm = os.path.join(DUNE_BUILD, "default", "bin", "mccm_cli.exe")
     traces = os.path.join(BUILD_DIR, "traces")
     os.makedirs(traces, exist_ok=True)
-    cmd = [exe] + args + ["--mccm", mccm, "--out", traces]
+    cmd = [exe] + args + ["--mccm", mccm, "--out", traces,
+                          "--metrics", ",".join(manifest_metrics(args))]
     proc = subprocess.Popen(cmd, start_new_session=True)
     try:
         return proc.wait(timeout=RUN_TIMEOUT_S)

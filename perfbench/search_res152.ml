@@ -216,7 +216,11 @@ let run_untraced report ~seed ~seconds =
   let raw = Pstats.median times in
   Report.note report "calibration factor %.4f from %d units" f (Array.length o.Windows.unit_times);
   Report.add report ~raw ~samples:(Array.length times) "answer_s_p50" "s" (Calib.time_ f raw);
-  Windows.setup_metric report probes;
+  (* A query answers for every spec of its slice. *)
+  let rates = Array.of_list (List.map (fun w -> float_of_int w.q.max_specs /. w.answer_s) ws) in
+  let raw = Pstats.median rates in
+  Report.add report ~raw ~samples:(Array.length rates) "designs_per_s" "1/s" (Calib.rate f raw);
+  Windows.setup_metric report ~f probes;
   Report.add report ~samples:(List.length ws) "peak_rss_mb" "MiB"
     (Pstats.median (Array.of_list (List.map (fun w -> w.hwm_mb) ws)))
 
@@ -252,6 +256,23 @@ let traced_answer st q =
   in
   { w; spans = Spans.spans spans; bound = bound_us st q }
 
+(* The query's slice through the layers' public functions, one call at
+   a time, on caches the benchmark owns. *)
+let layer_replay st q =
+  let spans = Spans.create () in
+  let table = Option.get (Mccm.Eval_session.table (session st q)) in
+  let cache = Builder.Build.create_cache () and seg = Mccm.Seg_cache.create () in
+  List.iter
+    (fun spec ->
+      let arch = Spans.with_ spans "arch.decode" (fun () -> Arch.Custom.arch_of_spec st.model spec) in
+      let built =
+        Spans.with_ spans "builder.build" (fun () -> Builder.Build.build ~cache ~table st.model q.board arch)
+      in
+      ignore (Spans.with_ spans "mccm.model" (fun () -> Mccm.Evaluate.run ~cache:seg ~table built)))
+    (Dse.Enumerate.enumerate_specs ~num_layers:(Cnn.Model.num_layers st.model) ~ces:q.ces
+       ~max_specs:q.max_specs);
+  Spans.spans spans
+
 (* The same slice under [`Scan], from the same starting state. *)
 let scan st q =
   let session = session st q in
@@ -277,17 +298,19 @@ let run_traced report ~seed ~seconds ~trace_dir =
       let u = Forkrun.run (fun () -> answer st q) in
       let t = Forkrun.run (fun () -> traced_answer st q) in
       let c = Forkrun.run (fun () -> scan st q) in
-      loop (i + 1) ((i, q, u, t, c) :: acc)
+      let l = Forkrun.run (fun () -> layer_replay st q) in
+      loop (i + 1) ((i, q, u, t, c, l) :: acc)
   in
   let rounds = loop 0 [] in
   let ex = ref [] and ls = ref [] and sc = ref [] and bd = ref [] and ov = ref [] in
+  let dec = ref [] and build = ref [] and model = ref [] in
   let enumerated = ref 0 and evaluated = ref 0 and pruned = ref 0 and nodes = ref 0 in
   let seg_h = ref 0 and seg_m = ref 0 and plan_h = ref 0 and plan_m = ref 0 in
   let arch_h = ref 0 and evals = ref 0 and gcs = ref [] in
   List.iter
-    (fun (i, q, u, t, c) ->
-      match (u, t, c) with
-      | Ok u, Ok t, Ok (scan_s, scan_winner) ->
+    (fun (i, q, u, t, c, l) ->
+      match (u, t, c, l) with
+      | Ok u, Ok t, Ok (scan_s, scan_winner), Ok l ->
         let w = t.w in
         let ok = u.ok && w.ok && u.winner = w.winner && scan_winner = w.winner in
         Report.attempt report ~failed:(if ok then 0 else 1) 1;
@@ -314,17 +337,33 @@ let run_traced report ~seed ~seconds ~trace_dir =
         plan_m := !plan_m + ss.Mccm.Eval_session.plan_misses;
         arch_h := !arch_h + ss.Mccm.Eval_session.arch_hits;
         evals := !evals + ss.Mccm.Eval_session.evaluations;
-        Spans.import recorder t.spans
+        Spans.import recorder t.spans;
+        let durations name =
+          List.filter_map
+            (fun s -> if s.Spans.name = name then Some (float_of_int (Spans.duration_ns s) /. 1e3) else None)
+            l
+        in
+        dec := durations "arch.decode" @ !dec;
+        build := durations "builder.build" @ !build;
+        model := durations "mccm.model" @ !model;
+        Spans.import recorder l
       | _ ->
         List.iter
           (function Error e -> Report.note report "query %d failed: %s" i e | Ok () -> ())
-          [ Result.map ignore u; Result.map ignore t; Result.map ignore c ];
+          [ Result.map ignore u; Result.map ignore t; Result.map ignore c; Result.map ignore l ];
         Report.attempt report ~failed:1 1)
     rounds;
   let arr l = Array.of_list l in
   let n = List.length !ex in
   let ratio h m = if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m) in
   Windows.cnn_metrics report probes;
+  let dec = arr !dec and build = arr !build and model = arr !model in
+  let p50 a = Pstats.percentile a ~p:50.0 and p99 a = Pstats.percentile a ~p:99.0 in
+  Report.add report ~samples:(Array.length dec) "arch.decode_us" "us" (p50 dec);
+  Report.add report ~samples:(Array.length build) "builder.build_us_p50" "us" (p50 build);
+  Report.add report ~samples:(Array.length build) "builder.build_us_p99" "us" (p99 build);
+  Report.add report ~samples:(Array.length model) "mccm.model_us_p50" "us" (p50 model);
+  Report.add report ~samples:(Array.length model) "mccm.model_us_p99" "us" (p99 model);
   Report.add report ~samples:(!plan_h + !plan_m) "builder.plan_hit_ratio" "ratio" (ratio !plan_h !plan_m);
   Report.add report ~samples:(!seg_h + !seg_m) "mccm.seg_hit_ratio" "ratio" (ratio !seg_h !seg_m);
   Report.add report ~samples:!evals "mccm.arch_hit_ratio" "ratio" (ratio !arch_h (!evals - !arch_h));

@@ -89,9 +89,11 @@ let cnn_metrics report probes =
   Report.add report ~samples:n "cnn.model_build_ms" "ms" (Pstats.median (probe_ms probes 0));
   Report.add report ~samples:n "cnn.table_build_ms" "ms" (Pstats.median (probe_ms probes 1))
 
-(* Set-up is a cold start timed in fresh processes.  Unlike the other
-   times it is not scaled by the run's calibration factor: on ten seeds
-   per workload the scaled figure spread wider than the raw one. *)
-let setup_metric report probes =
+(* Set-up is a cold start timed in fresh processes, scaled by the run's
+   calibration factor [f]: unscaled, its median moved by up to 29%
+   between sets of ten runs of the same code as the box drifted (see
+   EVIDENCE.md). *)
+let setup_metric report ~f probes =
   let times = Array.of_list (List.map fst probes) in
-  Report.add report ~samples:(Array.length times) "setup_s" "s" (Pstats.median times)
+  let raw = Pstats.median times in
+  Report.add report ~raw ~samples:(Array.length times) "setup_s" "s" (Calib.time_ f raw)
