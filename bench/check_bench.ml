@@ -19,15 +19,14 @@
    simply lack the field and skip that gate, so the checker stays
    usable against historic baselines.
 
-   mccm-bench-dse/3 files additionally carry per-workload
-   "table_speedup" (list-fold reference path vs precomputed-table path,
-   both uncached, best of two interleaved samples each) gated at a 2.0x
-   floor, and an "exhaustive_parallel" record with per-domain-count
-   specs/sec; the 4-domain rate is gated at 1.5x the 1-domain rate, but
-   only when the file's "recommended_domains" is at least 4 — a
-   single-core recorder cannot exhibit Domains scaling and its numbers
-   would gate on noise.  /2 and /1 files lack all these fields and skip
-   the gates.
+   mccm-bench-dse/3 files additionally carry an "exhaustive_parallel"
+   record with per-domain-count specs/sec; the 4-domain rate is gated
+   at 1.5x the 1-domain rate, but only when the file's
+   "recommended_domains" is at least 4 — a single-core recorder cannot
+   exhibit Domains scaling and its numbers would gate on noise.  /2 and
+   /1 files lack all these fields and skip the gates.  Files may carry
+   a per-workload "table_speedup" from when the bench timed a list-fold
+   evaluation path; it is ignored.
 
    mccm-bench-dse/4 files additionally carry an "enumerate_bnb" record
    (best-first branch-and-bound vs pruned scan on the deep ResNet152
@@ -221,20 +220,6 @@ let trace_overheads json =
       ws
   | _ -> failwith "workloads: missing or not an array"
 
-(* name -> table_speedup for every workload that records one
-   (mccm-bench-dse/3); absent on older files, where the gate is
-   skipped. *)
-let table_speedups json =
-  match member "workloads" json with
-  | Some (Arr ws) ->
-    List.filter_map
-      (fun w ->
-        match member "table_speedup" w with
-        | Some (Num f) -> Some (str_exn "workload name" (member "name" w), f)
-        | _ -> None)
-      ws
-  | _ -> failwith "workloads: missing or not an array"
-
 (* Schema generation of the file: the integer N of "mccm-bench-dse/N".
    /1 files predate the member. *)
 let schema_version json =
@@ -352,12 +337,6 @@ let gate current_path baseline_path tolerance trace_tol =
       Printf.printf "%s %-16s trace overhead %+.1f%% (ceiling %.0f%%)\n"
         verdict name (100.0 *. overhead) (100.0 *. trace_tol))
     (trace_overheads current_json);
-  List.iter
-    (fun (name, sp) ->
-      let verdict = if sp >= 2.0 then "ok  " else (incr failures; "FAIL") in
-      Printf.printf "%s %-16s table speedup %.2fx (floor 2.00x)\n" verdict
-        name sp)
-    (table_speedups current_json);
   let version = schema_version current_json in
   (match parallel_scaling current_json with
   | None -> ()

@@ -161,7 +161,6 @@ type dse_row = {
   workload : string;
   evals : int;          (* evaluation requests per arm (identical) *)
   uncached_s : float;
-  list_uncached_s : float;  (* uncached arm on the list-fold reference path *)
   cached_s : float;
   traced_s : float;     (* cached arm re-run with Mccm_obs fully on *)
   arch_hit_rate : float;
@@ -174,7 +173,6 @@ type dse_row = {
 let evals_per_sec n s = float_of_int n /. Float.max 1e-9 s
 let speedup_of r = r.uncached_s /. Float.max 1e-9 r.cached_s
 let trace_overhead_of r = (r.traced_s /. Float.max 1e-9 r.cached_s) -. 1.0
-let table_speedup_of r = r.list_uncached_s /. Float.max 1e-9 r.uncached_s
 
 let bench_dse () =
   let model = Cnn.Model_zoo.mobilenet_v2 () in
@@ -188,29 +186,22 @@ let bench_dse () =
   in
   (* Each workload takes the session to evaluate through and returns a
      comparable payload; both arms must agree exactly. *)
-  let arm ?(use_table = true) run memoize =
-    let session = Mccm.Eval_session.create ~memoize ~use_table model board in
+  let arm run memoize =
+    (* Every arm starts from a compacted heap: the traced arm retains
+       its span events, so garbage left by the arm before it would
+       otherwise swing the traced/cached ratio the gate reads. *)
+    Gc.compact ();
+    let session = Mccm.Eval_session.create ~memoize model board in
     let payload, seconds = time (fun () -> run session) in
     ((Mccm.Eval_session.stats session).Mccm.Eval_session.evaluations,
      payload, seconds)
   in
   let workload name run =
-    (* Untimed warm-up pass so the pre-existing global parallelism memo
-       is equally warm for both arms; only session caching is measured. *)
+    (* Untimed warm-up pass: the parallelism solver's memo is
+       process-wide, so it is equally warm for both arms and only
+       session caching is measured. *)
     ignore (arm run false);
     let un_evals, un_payload, un_s = arm run false in
-    (* The list-fold reference arm: same workload, uncached, with the
-       precomputed table disabled.  table_speedup (list/table, both
-       uncached) is a gated number, so both arms take the best of two
-       interleaved samples. *)
-    let li_evals, li_payload, li_s = arm ~use_table:false run false in
-    let _, _, un_s2 = arm run false in
-    let _, _, li_s2 = arm ~use_table:false run false in
-    let un_s = Float.min un_s un_s2 and li_s = Float.min li_s li_s2 in
-    if un_evals <> li_evals then
-      failwith (name ^ ": table arms issued different evaluation counts");
-    if un_payload <> li_payload then
-      failwith (name ^ ": table path is not bit-identical to the list path");
     (* The traced-vs-cached ratio below is a gate, so both arms take
        the best of three interleaved runs: a single wall-clock sample
        of a sub-second arm jitters (GC slices, scheduling) by more than
@@ -263,7 +254,6 @@ let bench_dse () =
       workload = name;
       evals = un_evals;
       uncached_s = un_s;
-      list_uncached_s = li_s;
       cached_s = ca_s;
       traced_s = tr_s;
       arch_hit_rate = rate (c "session.arch.hit") (c "session.arch.miss");
@@ -312,10 +302,8 @@ let bench_dse () =
     Util.Table.create ~title:"DSE session cache (MobileNetV2 / VCU108)"
       ~columns:
         [ ("workload", Util.Table.Left); ("evals", Util.Table.Right);
-          ("list evals/s", Util.Table.Right);
           ("uncached evals/s", Util.Table.Right);
           ("cached evals/s", Util.Table.Right);
-          ("table speedup", Util.Table.Right);
           ("cache speedup", Util.Table.Right);
           ("trace overhead", Util.Table.Right);
           ("seg hits", Util.Table.Right) ]
@@ -325,10 +313,8 @@ let bench_dse () =
     (fun r ->
       Util.Table.add_row table
         [ r.workload; string_of_int r.evals;
-          Format.sprintf "%.0f" (evals_per_sec r.evals r.list_uncached_s);
           Format.sprintf "%.0f" (evals_per_sec r.evals r.uncached_s);
           Format.sprintf "%.0f" (evals_per_sec r.evals r.cached_s);
-          Format.sprintf "%.1fx" (table_speedup_of r);
           Format.sprintf "%.1fx" (speedup_of r);
           Format.sprintf "%+.1f%%" (100.0 *. trace_overhead_of r);
           Format.sprintf "%.0f%%" (100.0 *. r.seg_hit_rate) ])
@@ -637,12 +623,6 @@ let write_bench_json ~path rows par bnb =
         (evals_per_sec r.evals r.uncached_s)
         (evals_per_sec r.evals r.cached_s)
         (speedup_of r);
-      add
-        "      \"list_uncached_s\": %.6f, \"list_evals_per_sec\": %.1f, \
-         \"table_speedup\": %.2f,\n"
-        r.list_uncached_s
-        (evals_per_sec r.evals r.list_uncached_s)
-        (table_speedup_of r);
       add
         "      \"traced_s\": %.6f, \"traced_evals_per_sec\": %.1f, \
          \"trace_overhead\": %.4f,\n"

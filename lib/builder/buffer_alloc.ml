@@ -183,38 +183,6 @@ let absorb_cache ~into c =
 let timed_floor compute =
   Mccm_obs.span ~cat:"build" "build.planning_floor" compute
 
-(* Process-global floor memo for table-backed, session-less plans.
-   Floors are pure functions of (model, board, layer range, engine
-   signatures) and independent of the build options; the table's uid
-   names the model cheaply, so — like {!Parallelism_select}'s global
-   memo — results can be shared across plans, sessions and domains.
-   The mutex is held only around the lookup/insert; computation runs
-   outside it (a racing duplicate computes the identical value). *)
-let global_pipes : (int * Platform.Board.t * block_key, pipe_floor) Hashtbl.t =
-  Hashtbl.create 256
-
-let global_singles :
-    (int * Platform.Board.t * block_key, single_floor) Hashtbl.t =
-  Hashtbl.create 256
-
-let global_lock = Mutex.create ()
-
-let memo_global tbl key compute =
-  let cached =
-    Mutex.lock global_lock;
-    let r = Hashtbl.find_opt tbl key in
-    Mutex.unlock global_lock;
-    r
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-    let v = timed_floor compute in
-    Mutex.lock global_lock;
-    (if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
-    Mutex.unlock global_lock;
-    v
-
 let memo_block tbl cache key compute =
   match cache with
   | None -> timed_floor compute
@@ -232,104 +200,36 @@ let memo_block tbl cache key compute =
       Block_tbl.add tbl key v;
       v)
 
-let plan ?(minimal = false) ?cache ?table model board archi ~engines =
-  (match table with Some t -> Cnn.Table.check t model | None -> ());
+let plan ?(minimal = false) ?cache ~table board archi ~engines =
   let bpe = board.Platform.Board.bytes_per_element in
   let bram = board.Platform.Board.bram_bytes in
   let blocks = Array.of_list archi.Arch.Block.blocks in
   let nb = Array.length blocks in
-  let total_macs =
-    max 1
-      (match table with
-      | Some t -> Cnn.Table.total_macs t
-      | None -> Cnn.Model.total_macs model)
-  in
-  let weight_bytes i =
-    match table with
-    | Some t -> bpe * Cnn.Table.weight_elements t i
-    | None -> bpe * Cnn.Layer.weight_elements (Cnn.Model.layer model i)
-  in
-  (* Table-aware per-layer reads (absolute layer index).  Each computes
-     exactly the integer the [Layer.t] reference produces; the table
-     path just skips the [out_shape] recomputation and extent-list
-     allocations. *)
-  let out_h_at i =
-    match table with
-    | Some t -> Cnn.Table.out_height t i
-    | None -> (Cnn.Layer.out_shape (Cnn.Model.layer model i)).Cnn.Shape.height
-  in
+  let total_macs = max 1 (Cnn.Table.total_macs table) in
+  let weight_bytes i = bpe * Cnn.Table.weight_elements table i in
   let fm_tile_at ~width_split i ~rows =
-    match table with
-    | Some t ->
-      cd (rows * Cnn.Table.out_width t i * Cnn.Table.out_channels t i * bpe)
-        width_split
-    | None ->
-      fm_tile_bytes_of ~bpe ~width_split (Cnn.Model.layer model i) ~rows
-  in
-  let weight_tile_elements_at e i =
-    match table with
-    | Some t ->
-      let total = Cnn.Table.weight_elements t i in
-      let filters = if Cnn.Table.is_depthwise t i then 1 else Cnn.Table.out_channels t i in
-      let par_f =
-        Engine.Parallelism.factor e.Engine.Ce.parallelism
-          Engine.Parallelism.Filters
-      in
-      cd total (cd filters (max 1 par_f))
-    | None -> Tiling.weight_tile_elements e (Cnn.Model.layer model i)
-  in
-  let tile_cycles_at e i ~rows =
-    match table with
-    | Some t -> Engine.Ce.tile_cycles_at e t i ~rows
-    | None -> Engine.Ce.tile_cycles e (Cnn.Model.layer model i) ~rows
-  in
-  let memo sel_session sel_global key compute =
-    match (cache, table) with
-    | None, Some t ->
-      memo_global sel_global (Cnn.Table.uid t, board, key) compute
-    | _ -> memo_block sel_session cache key compute
+    let row_bytes =
+      Cnn.Table.out_width table i * Cnn.Table.out_channels table i * bpe
+    in
+    cd (rows * row_bytes) width_split
   in
   let make_single ~ce ~first ~last =
     let engine = engines.(ce) in
     let floor =
-      memo
+      memo_block
         (fun c -> c.singles)
-        global_singles
+        cache
         (block_key ~first ~last [| engine_sig engine |])
         (fun () ->
-          match table with
-          | Some t ->
-            let wt = ref 1 and mf = ref 1 in
-            for i = first to last do
-              wt := max !wt (weight_tile_elements_at engine i);
-              mf :=
-                max !mf
-                  (Cnn.Table.band1_elements t i
-                  + (Cnn.Table.out_width t i * Cnn.Table.out_channels t i))
-            done;
-            let fm_ideal = bpe * Cnn.Table.max_fms_range t ~first ~last in
-            { sf_weights_tile =
-                2 * bpe * min weight_stream_granule_elements !wt;
-              sf_fm_min = min fm_ideal (bpe * !mf);
-              sf_fm_ideal = fm_ideal }
-          | None ->
-            let range = Cnn.Model.layers_in_range model ~first ~last in
-            let weights_tile =
-              2 * bpe
-              * min weight_stream_granule_elements
-                  (List.fold_left
-                     (fun a l -> max a (Tiling.weight_tile_elements engine l))
-                     1 range)
-            in
-            let fm_ideal = bpe * Cnn.Model.max_fms_elements model ~first ~last in
-            let fm_min =
-              min fm_ideal
-                (bpe
-                * List.fold_left (fun a l -> max a (Tiling.min_fm_elements l)) 1 range
-                )
-            in
-            { sf_weights_tile = weights_tile; sf_fm_min = fm_min;
-              sf_fm_ideal = fm_ideal })
+          let wt = ref 1 and mf = ref 1 in
+          for i = first to last do
+            wt := max !wt (Tiling.weight_tile_elements_at engine table i);
+            mf := max !mf (Tiling.min_fm_elements_at table i)
+          done;
+          let fm_ideal = bpe * Cnn.Table.max_fms_range table ~first ~last in
+          { sf_weights_tile = 2 * bpe * min weight_stream_granule_elements !wt;
+            sf_fm_min = min fm_ideal (bpe * !mf);
+            sf_fm_ideal = fm_ideal })
     in
     Wsingle
       { s_weights_tile = floor.sf_weights_tile; s_fm_min = floor.sf_fm_min;
@@ -338,7 +238,7 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
   let pipe_floor ~engs ~first ~last () =
     let ces = Array.length engs in
     let n = last - first + 1 in
-    let out_h i = out_h_at (first + i) in
+    let out_h i = Cnn.Table.out_height table (first + i) in
     let par_h i =
       max 1
         (Engine.Parallelism.factor
@@ -376,21 +276,15 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
        latency estimate - max of the skewed compute schedule and the
        off-chip traffic it implies at the retention its FM tiles leave
        room for - and the cheapest feasible one wins. *)
-    let hard =
-      let block_macs =
-        match table with
-        | Some t -> Cnn.Table.macs_range t ~first ~last
-        | None -> Cnn.Model.macs_in_range model ~first ~last
-      in
-      bram * block_macs / total_macs
-    in
+    let hard = bram * Cnn.Table.macs_range table ~first ~last / total_macs in
     let w_b = Array.init n (fun i -> weight_bytes (first + i)) in
     let num_rounds = cd n ces in
     let staging_est =
       let best = ref 1 in
       for i = 0 to n - 1 do
         best :=
-          max !best (weight_tile_elements_at engs.(i mod ces) (first + i))
+          max !best
+            (Tiling.weight_tile_elements_at engs.(i mod ces) table (first + i))
       done;
       2 * bpe * min weight_stream_granule_elements !best
     in
@@ -402,7 +296,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
       let fm = bytes_of ~ws rows in
       if fm + staging_est > hard then None
       else begin
-        let tiles i = cd (out_h i) rows.(i) * ws in
+        let tiles i =
+          Tiling.num_row_tiles_at table (first + i) ~rows:rows.(i) * ws
+        in
         (* Mirror the greedy's tier-1 order: most re-fetches avoided per
            retained byte first. *)
         let avail = ref (hard - fm - staging_est) in
@@ -429,7 +325,10 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
            prices the unroll lanes a misaligned band wastes. *)
         let paced i =
           tiles i
-          * cd (tile_cycles_at engs.(i mod ces) (first + i) ~rows:rows.(i)) ws
+          * cd
+              (Engine.Ce.tile_cycles_at engs.(i mod ces) table (first + i)
+                 ~rows:rows.(i))
+              ws
         in
         let compute = ref 0.0 in
         for r = 0 to num_rounds - 1 do
@@ -495,9 +394,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
     let ces = ce_last - ce_first + 1 in
     let engs = Array.sub engines ce_first ces in
     let floor =
-      memo
+      memo_block
         (fun c -> c.pipes)
-        global_pipes
+        cache
         (block_key ~first ~last (Array.map engine_sig engs))
         (pipe_floor ~engs ~first ~last)
     in
@@ -522,7 +421,7 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
   let inter_bytes =
     Array.init (max 0 (nb - 1)) (fun i ->
         let _, last = Arch.Block.layer_range blocks.(i) in
-        bpe * Cnn.Shape.elements (Cnn.Layer.out_shape (Cnn.Model.layer model last)))
+        bpe * Cnn.Table.ofm_elements table last)
   in
   let inter_on = Array.make (max 0 (nb - 1)) false in
   let restage p =
@@ -532,7 +431,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
       (fun i retained ->
         if not retained then
           best :=
-            max !best (weight_tile_elements_at p.p_engs.(i mod ces) (p.p_first + i)))
+            max !best
+              (Tiling.weight_tile_elements_at p.p_engs.(i mod ces) table
+                 (p.p_first + i)))
       p.p_retained;
     p.p_staging <- 2 * bpe * min weight_stream_granule_elements !best
   in
@@ -588,7 +489,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
           | Wpipe p ->
             Array.iteri
               (fun i rows ->
-                let tiles = cd (out_h_at (p.p_first + i)) rows * p.p_ws in
+                let tiles =
+                  Tiling.num_row_tiles_at table (p.p_first + i) ~rows * p.p_ws
+                in
                 incr ord;
                 acc := (tiles, weight_bytes (p.p_first + i), !ord, p, i) :: !acc)
               p.p_rows)
@@ -675,7 +578,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
               fm_ideal_bytes = b.s_fm_ideal }
         | Wpipe p ->
           Plan_pipelined
-            { tiles_per_image = cd (out_h_at p.p_first) p.p_rows.(0) * p.p_ws;
+            { tiles_per_image =
+                Tiling.num_row_tiles_at table p.p_first ~rows:p.p_rows.(0)
+                * p.p_ws;
               width_split = p.p_ws;
               tile_rows = p.p_rows;
               fm_tile_bytes = p.p_fm_tile;

@@ -79,13 +79,14 @@ val cache_misses : cache -> int
 val plan :
   ?minimal:bool ->
   ?cache:cache ->
-  ?table:Cnn.Table.t ->
-  Cnn.Model.t ->
+  table:Cnn.Table.t ->
   Platform.Board.t ->
   Arch.Block.arch ->
   engines:Engine.Ce.t array ->
   t
-(** [plan model board archi ~engines] sizes every buffer.  Starting
+(** [plan ~table board archi ~engines] sizes every buffer for the
+    model [table] was built from, reading every per-layer quantity from
+    the table.  Starting
     from the floor (row-streaming FM minima, nothing retained, no
     inter-segment buffers), leftover BRAM is spent greedily: first on
     retaining multi-tile pipelined weights (ordered by streaming traffic

@@ -17,6 +17,7 @@ type built_block =
 
 type t = {
   model : Cnn.Model.t;
+  table : Cnn.Table.t;
   board : Platform.Board.t;
   archi : Arch.Block.arch;
   engines : Engine.Ce.t array;
@@ -68,7 +69,13 @@ let c_builds = Mccm_obs.Metric.counter "build.builds"
 let build ?(options = default_options) ?cache ?table model board archi =
   Mccm_obs.span ~cat:"build" "build.build" @@ fun () ->
   Mccm_obs.Metric.incr c_builds;
-  (match table with Some t -> Cnn.Table.check t model | None -> ());
+  let table =
+    match table with
+    | Some t ->
+      Cnn.Table.check t model;
+      t
+    | None -> Cnn.Table.of_model model
+  in
   let blocks = Array.of_list archi.Arch.Block.blocks in
   let num_ces = Arch.Block.total_ces archi in
   let layer_lists = Array.make num_ces [] in
@@ -91,12 +98,7 @@ let build ?(options = default_options) ?cache ?table model board archi =
           slots)
     blocks;
   let macs_of ls =
-    match table with
-    | Some t -> List.fold_left (fun a i -> a + Cnn.Table.macs t i) 0 ls
-    | None ->
-      List.fold_left
-        (fun a i -> a + Cnn.Layer.macs (Cnn.Model.layer model i))
-        0 ls
+    List.fold_left (fun a i -> a + Cnn.Table.macs table i) 0 ls
   in
   let make_engines pes =
     Array.init num_ces (fun ce ->
@@ -107,14 +109,8 @@ let build ?(options = default_options) ?cache ?table model board archi =
             let compute () =
               Mccm_obs.span ~cat:"build" "build.parallelism_select"
                 (fun () ->
-                  match table with
-                  | Some t ->
-                    Parallelism_select.choose_indices ~pes:pes.(ce) t
-                      layer_lists.(ce)
-                  | None ->
-                    Parallelism_select.choose ~pes:pes.(ce)
-                      ~layers:
-                        (List.map (Cnn.Model.layer model) layer_lists.(ce)))
+                  Parallelism_select.choose_indices ~pes:pes.(ce) table
+                    layer_lists.(ce))
             in
             match cache with
             | None -> compute ()
@@ -148,16 +144,9 @@ let build ?(options = default_options) ?cache ?table model board archi =
        redistribution only while the busiest/laziest spread shrinks. *)
     let cycles es =
       Array.init num_ces (fun ce ->
-          match table with
-          | Some t ->
-            List.fold_left
-              (fun a i -> a + Engine.Ce.layer_cycles_at es.(ce) t i)
-              0 layer_lists.(ce)
-          | None ->
-            List.fold_left
-              (fun a i ->
-                a + Engine.Ce.layer_cycles es.(ce) (Cnn.Model.layer model i))
-              0 layer_lists.(ce))
+          List.fold_left
+            (fun a i -> a + Engine.Ce.layer_cycles_at es.(ce) table i)
+            0 layer_lists.(ce))
     in
     let spread cyc =
       let busiest = Array.fold_left max 1 cyc in
@@ -203,10 +192,9 @@ let build ?(options = default_options) ?cache ?table model board archi =
     Mccm_obs.span ~cat:"build" "build.plan" (fun () ->
         Buffer_alloc.plan
           ~minimal:(options.buffers = `Minimal)
-          ?cache:(Option.map plan_cache cache) ?table model board archi
-          ~engines)
+          ?cache:(Option.map plan_cache cache) ~table board archi ~engines)
   in
-  { model; board; archi; engines; blocks = built_blocks; plan }
+  { model; table; board; archi; engines; blocks = built_blocks; plan }
 
 let engine_for_layer t i =
   let rec find bi =

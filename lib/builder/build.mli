@@ -35,6 +35,9 @@ type built_block =
 
 type t = {
   model : Cnn.Model.t;
+  table : Cnn.Table.t;
+      (** [model]'s per-layer table: the only per-layer source the
+          planner and the cost models read *)
   board : Platform.Board.t;
   archi : Arch.Block.arch;
   engines : Engine.Ce.t array;  (** all engines, indexed by CE id - 1 *)
@@ -76,9 +79,12 @@ val build :
     ids are 1-based CE indices; the PE allocations sum to exactly
     [board.dsps].  [cache] memoizes {!Buffer_alloc} planning floors and
     per-CE parallelism choices across calls that share (model, board,
-    options); results are bit-identical with and without it.
+    options); results are bit-identical with and without it.  [table]
+    is reused as the build's {!Cnn.Table} when given (sessions build
+    theirs once); otherwise one is built from [model].
     @raise Invalid_argument if the architecture has more engines than
-    the board has DSPs. *)
+    the board has DSPs, or if [table] was built from another model
+    value. *)
 
 val engine_for_layer : t -> int -> Engine.Ce.t
 (** [engine_for_layer t i] is the engine that runs layer [i]: the

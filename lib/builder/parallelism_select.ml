@@ -113,14 +113,6 @@ let choose ~pes ~layers =
     in
     solve ~pes ~channel_mode ~terms
 
-(* Front cache for the table entry point, keyed by (table uid, pes,
-   layer indices) — the caller's index list is hashed as-is, so a hit
-   costs no per-layer work at all (the terms-keyed cache below still
-   unifies results across tables and with [choose], but building its
-   key walks every layer). *)
-let fast_cache : (int * int * int list, P.t) Hashtbl.t = Hashtbl.create 256
-let fast_lock = Mutex.create ()
-
 (* ------------------------------------------------------ cycle floors *)
 
 (* Divisor candidates for minimising [d -> ceil_div e d] under a cap:
@@ -167,13 +159,21 @@ let min_cycles_mode ~budget ~e1 ~eh ~ew ~rest =
   !best
 
 (* Floors are probed repeatedly with per-layer budgets by the DSE bound
-   precomputation; same mutex-protected memo idiom as the caches above. *)
-let floor_cache : (int * int * int, int) Hashtbl.t = Hashtbl.create 256
+   precomputation; same mutex-protected memo idiom as the cache above.
+   The key is the layer's content — the budget and the loop extents the
+   floor reads — so repeated layers (ResNet blocks) and equal models
+   resolved afresh share entries, and the table stays bounded by the
+   distinct layer shapes ever probed. *)
+let floor_cache : (int * int * int * int * int * int, int) Hashtbl.t =
+  Hashtbl.create 256
+
 let floor_lock = Mutex.create ()
 
 let cycle_floor ~pes table i =
   if pes < 1 then invalid_arg "Parallelism_select.cycle_floor: pes < 1";
-  let key = (Cnn.Table.uid table, pes, i) in
+  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
+  let k2 = ekh * ekw in
+  let key = (pes, ef, ec, eh, ew, k2) in
   let cached =
     Mutex.lock floor_lock;
     let r = Hashtbl.find_opt floor_cache key in
@@ -183,8 +183,6 @@ let cycle_floor ~pes table i =
   match cached with
   | Some c -> c
   | None ->
-    let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
-    let k2 = ekh * ekw in
     (* Engines unroll (Filters, Height, Width) or (Channels, Height,
        Width); the floor takes the min over both modes, so it holds
        whichever mode [choose]/[choose_indices] (or the naive-cube
@@ -210,17 +208,7 @@ let choose_indices ~pes table indices =
   if pes < 1 then invalid_arg "Parallelism_select.choose_indices: pes < 1";
   match indices with
   | [] -> P.scalar
-  | _ -> (
-    let fast_key = (Cnn.Table.uid table, pes, indices) in
-    let cached =
-      Mutex.lock fast_lock;
-      let r = Hashtbl.find_opt fast_cache fast_key in
-      Mutex.unlock fast_lock;
-      r
-    in
-    match cached with
-    | Some p -> p
-    | None ->
+  | _ ->
     let dw_macs, total_macs =
       List.fold_left
         (fun (dw, tot) i ->
@@ -238,9 +226,4 @@ let choose_indices ~pes table indices =
           else (ef, eh, ew, ec * k2))
         indices
     in
-    let p = solve ~pes ~channel_mode ~terms in
-    Mutex.lock fast_lock;
-    (if not (Hashtbl.mem fast_cache fast_key) then
-       Hashtbl.add fast_cache fast_key p);
-    Mutex.unlock fast_lock;
-    p)
+    solve ~pes ~channel_mode ~terms

@@ -33,7 +33,8 @@ val cycle_floor : pes:int -> Cnn.Table.t -> int -> int
     this module (or the naive-cube ablation) can construct with at most
     [pes] PEs, which makes it the compute-floor primitive of the DSE
     pruning bounds ({!Dse.Bounds}).  Nonincreasing in [pes]; results
-    are memoised per (table, pes, layer).
+    are memoised process-wide by content: [pes] and the layer's loop
+    extents.
     @raise Invalid_argument if [pes < 1]. *)
 
 val utilization_ceiling : pes:int -> Cnn.Table.t -> int -> float
@@ -48,5 +49,6 @@ val choose_indices :
 (** [choose_indices ~pes table indices] is [choose ~pes ~layers] for the
     table's layers at [indices], reading extents and MAC counts from the
     precomputed table instead of [Cnn.Layer] accessors.  Both entry
-    points build identical memo keys, so they share cached results and
-    return bit-identical parallelisms. *)
+    points build identical loop-extent memo keys, so they share cached
+    results and return bit-identical parallelisms; {!choose} is the
+    reference the test suite checks this one against. *)

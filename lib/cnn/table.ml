@@ -9,12 +9,11 @@
    ([sum MACs], [sum weights], [max FMs]) into O(1) array arithmetic.
 
    All stored quantities are integers computed by exactly the formulas
-   in [Layer]/[Model], so any aggregate read through the table is
-   bit-identical to the list-fold reference path. *)
+   in [Layer]/[Model], so any aggregate read through the table equals
+   the list fold over those formulas bit for bit. *)
 
 type t = {
   model : Model.t;
-  uid : int;                    (* process-unique; cheap memo keys *)
   n : int;
   macs : int array;
   weights : int array;          (* weight elements *)
@@ -49,8 +48,6 @@ type t = {
   macs_sparse : int array array; (* likewise over macs *)
   log2 : int array;             (* log2.(l) = floor (log2 l), length n+1 *)
 }
-
-let next_uid = Atomic.make 0
 
 let of_model model =
   let n = Model.num_layers model in
@@ -115,7 +112,7 @@ let of_model model =
   let fms_sparse = sparse_max fms in
   let macs_sparse = sparse_max macs in
   {
-    model; uid = Atomic.fetch_and_add next_uid 1;
+    model;
     n; macs; weights; ifm; ofm; extra; fms;
     in_h; in_w; in_c; out_h; out_w; out_c;
     kernel; stride; padding; is_dw;
@@ -127,9 +124,7 @@ let of_model model =
   }
 
 let model t = t.model
-let uid t = t.uid
 let num_layers t = t.n
-let for_model t m = t.model == m
 
 let check t m =
   if not (t.model == m) then

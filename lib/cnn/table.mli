@@ -6,10 +6,10 @@
     sparse range-max table so segment aggregates become O(1) array
     arithmetic instead of O(len) list folds over [Layer.t].
 
-    Every stored value is computed by exactly the integer formulas in
-    {!Layer} and {!Model}, so reads through the table are bit-identical
-    to the list-fold reference path ({!Model.layers_in_range} and
-    friends, which remain the slow/reference implementation). *)
+    The table is the cost models' only per-layer source.  Every stored
+    value is computed by exactly the integer formulas in {!Layer} and
+    {!Model}, which stay the reference: the test suite checks each read
+    against its formula. *)
 
 type t
 
@@ -19,16 +19,10 @@ val of_model : Model.t -> t
 val model : t -> Model.t
 val num_layers : t -> int
 
-val uid : t -> int
-(** Process-unique table id, assigned at construction — a cheap memo
-    key for caches that want "same table" without hashing the model. *)
-
-val for_model : t -> Model.t -> bool
-(** [for_model t m] is true when [t] was built from exactly [m]
-    (physical equality — sessions and builds share the model value). *)
-
 val check : t -> Model.t -> unit
-(** @raise Invalid_argument unless [for_model t m]. *)
+(** [check t m] accepts a table built from exactly [m] (physical
+    equality — sessions and builds share the model value).
+    @raise Invalid_argument otherwise. *)
 
 (** {1 Per-layer scalars}
 

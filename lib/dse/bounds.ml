@@ -317,8 +317,10 @@ let suffix_latency_floor ctx ~first =
     (* Summed segment floors: the quantization floors add up, and the
        allocation floor is subadditive (nondecreasing integer share
        ceiling), so its value on the whole suffix bounds any split's
-       sum. *)
-    guard (Float.max qsum (alloc_floor_int ctx msuf_i))
+       sum.  Guarded twice: it stands for a float sum of once-guarded
+       segment floors, which can round an ulp below the guarded
+       total. *)
+    guard (guard (Float.max qsum (alloc_floor_int ctx msuf_i)))
   end
 
 (* ------------------------------------------- composed partial bounds *)

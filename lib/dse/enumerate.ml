@@ -39,15 +39,12 @@ let enumerate_specs ~num_layers ~ces ~max_specs =
   done;
   List.rev !out
 
-let session_or_fresh session model board =
+let session_or_fresh ~fn session model board =
   match session with
-  | Some s -> s
+  | Some s ->
+    Mccm.Eval_session.check ~fn s model board;
+    s
   | None -> Mccm.Eval_session.create model board
-
-let table_or_fresh session model =
-  match Mccm.Eval_session.table session with
-  | Some t when Cnn.Table.for_model t model -> t
-  | _ -> Cnn.Table.of_model model
 
 (* The admissible bound machinery lives in {!Bounds}; these aliases
    keep the historical entry points (and their callers) intact. *)
@@ -58,11 +55,10 @@ let throughput_upper_bound = Bounds.throughput_upper_bound
 let latency_lower_bound = Bounds.latency_lower_bound
 
 (* Sequential warm-up for a crew: run a small strided sample of the
-   spec rows through the parent session so its plan/segment tables —
-   and the builder's process-global memos — are populated before the
-   per-worker forks are cut.  Caching is bit-invisible, so the warm-up
-   cannot change any result; it only moves the cold start off the
-   parallel phase. *)
+   spec rows through the parent session so its plan/segment tables are
+   populated before the per-worker forks are cut.  Caching is
+   bit-invisible, so the warm-up cannot change any result; it only
+   moves the cold start off the parallel phase. *)
 let warm_strided ~session ~buf ~width ~n model =
   let stride = max 1 (n / 16) in
   let i = ref 0 in
@@ -76,7 +72,9 @@ let warm_strided ~session ~buf ~width ~n model =
 let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
     model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive" @@ fun () ->
-  let session = session_or_fresh session model board in
+  let session =
+    session_or_fresh ~fn:"Enumerate.exhaustive" session model board
+  in
   let width = Space.Flat.width ~ces in
   let buf =
     Space.Flat.enumerate ~num_layers:(Cnn.Model.num_layers model) ~ces
@@ -421,8 +419,10 @@ let scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
 let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
     ?(prune = true) ?(strategy = `Auto) ~objective ~ces model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
-  let session = session_or_fresh session model board in
-  let table = table_or_fresh session model in
+  let session =
+    session_or_fresh ~fn:"Enumerate.exhaustive_best" session model board
+  in
+  let table = Option.get (Mccm.Eval_session.table session) in
   let score m =
     if not m.Mccm.Metrics.feasible then neg_infinity
     else
@@ -515,7 +515,9 @@ let local_search ~objective ?(max_steps = 25) ?session ?(domains = 1) ?clamp
     ?pool ?bound model board seed =
   Mccm_obs.span ~cat:"dse" "dse.local_search" @@ fun () ->
   let num_layers = Cnn.Model.num_layers model in
-  let session = session_or_fresh session model board in
+  let session =
+    session_or_fresh ~fn:"Enumerate.local_search" session model board
+  in
   (* A move touches one or two block boundaries, so re-evaluating a
      neighbour recomputes only the touched blocks; every other segment
      (and the climb's revisits of the current spec's neighbours) comes

@@ -37,7 +37,9 @@ val exhaustive :
     the end.  [domains] is clamped to [Domain.recommended_domain_count]
     unless [~clamp:false]; [pool] reuses a caller-owned domain pool
     (then [domains]/[clamp] are ignored).  The result is identical for
-    every domain count. *)
+    every domain count.
+    @raise Invalid_argument if [session] is bound to a different model
+    or board ({!Mccm.Eval_session.check}). *)
 
 type objective = [ `Throughput | `Latency ]
 
@@ -101,7 +103,10 @@ val exhaustive_best :
     [`Scan] path enumerates into a {!Space.Flat} buffer, prunes with
     the allocation-free flat bounds (ctx hoisted out of the loop) and
     decodes only surviving rows; with [pool] it runs on the caller's
-    persistent domain pool ([`Auto] then picks [`Scan]). *)
+    persistent domain pool ([`Auto] then picks [`Scan]).  The bounds
+    read [session]'s {!Cnn.Table}.
+    @raise Invalid_argument if [session] is bound to a different model
+    or board. *)
 
 type step = {
   moved : string;                 (** human-readable description *)
@@ -143,4 +148,6 @@ val local_search :
     searches.  [bound] (an admissible upper bound on the objective's
     score, e.g. {!throughput_upper_bound} partially applied) skips
     neighbours that cannot strictly beat the current spec.  None of
-    these change the trajectory. *)
+    these change the trajectory.
+    @raise Invalid_argument if [session] is bound to a different model
+    or board. *)

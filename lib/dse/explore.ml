@@ -47,8 +47,7 @@ let run ?(seed = 42L) ?(ce_counts = Arch.Baselines.default_ce_counts)
     match session with
     | None -> Mccm.Eval_session.create model board
     | Some s ->
-      if Mccm.Eval_session.board s <> board then
-        invalid_arg "Explore.run: session bound to a different board";
+      Mccm.Eval_session.check ~fn:"Explore.run" s model board;
       s
   in
   let started = Unix.gettimeofday () in

@@ -56,7 +56,7 @@ val run :
     crew each worker evaluates on a {!Mccm.Eval_session.fork}, merged
     back at the end.
     @raise Invalid_argument if [session] is bound to a different
-    board. *)
+    model or board ({!Mccm.Eval_session.check}). *)
 
 val improvement_over :
   result -> reference:Mccm.Metrics.t -> (float * float) option

@@ -40,7 +40,7 @@ let tile_cycles t layer ~rows =
 let ideal_cycles ~pes layer =
   Util.Int_math.ceil_div (Cnn.Layer.macs layer) pes
 
-(* Table-indexed fast path: the same Eq.-1 products computed from
+(* Table-indexed versions: the same Eq.-1 products computed from
    precomputed loop extents instead of per-call [Layer.out_shape]
    recomputation.  Integer products agree with [cycles_with_extents]
    exactly (same factors, and machine-int multiplication is

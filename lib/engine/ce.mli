@@ -47,11 +47,13 @@ val average_utilization : t -> Cnn.Layer.t list -> float
 val pp : Format.formatter -> t -> unit
 (** e.g. ["CE3[256 PEs, F16xH4xW4, OS]"]. *)
 
-(** {1 Table-indexed fast path}
+(** {1 Table-indexed versions}
 
     The same quantities computed from a {!Cnn.Table} by absolute layer
     index — no [Layer.out_shape] recomputation, no per-call extent-list
-    allocation.  Results are bit-identical to the [Layer.t] versions. *)
+    allocation.  The builder and the cost models read these; the
+    [Layer.t] versions above are their reference, and results are
+    bit-identical to them. *)
 
 val layer_cycles_at : t -> Cnn.Table.t -> int -> int
 (** [layer_cycles_at ce tbl i] equals

@@ -66,7 +66,7 @@ type t = {
   board : Platform.Board.t;
   options : Builder.Build.options;
   memoize : bool;
-  table : Cnn.Table.t option;
+  table : Cnn.Table.t;
   seg : Seg_cache.t;
   bcache : Builder.Build.cache;
   archs : Evaluate.t Arch_tbl.t;
@@ -85,14 +85,14 @@ type stats = {
   plan_misses : int;
 }
 
-let create ?(options = Builder.Build.default_options) ?(memoize = true)
-    ?(use_table = true) model board =
+let create ?(options = Builder.Build.default_options) ?(memoize = true) model
+    board =
   {
     model;
     board;
     options;
     memoize;
-    table = (if use_table then Some (Cnn.Table.of_model model) else None);
+    table = Cnn.Table.of_model model;
     seg = Seg_cache.create ();
     bcache = Builder.Build.create_cache ();
     archs = Arch_tbl.create 512;
@@ -103,14 +103,20 @@ let create ?(options = Builder.Build.default_options) ?(memoize = true)
 let model t = t.model
 let board t = t.board
 let memoized t = t.memoize
-let table t = t.table
+let table t = Some t.table
+
+let check ~fn t model board =
+  if t.model <> model then
+    invalid_arg (fn ^ ": session bound to a different model");
+  if t.board <> board then
+    invalid_arg (fn ^ ": session bound to a different board")
 
 let evaluate ?(store_arch = true) t archi =
   t.n_evals <- t.n_evals + 1;
   Mccm_obs.Metric.incr c_evals;
   if not t.memoize then
-    Evaluate.run ?table:t.table
-      (Builder.Build.build ~options:t.options ?table:t.table t.model t.board
+    Evaluate.run
+      (Builder.Build.build ~options:t.options ~table:t.table t.model t.board
          archi)
   else begin
     let key = arch_key archi in
@@ -122,10 +128,10 @@ let evaluate ?(store_arch = true) t archi =
     | None ->
       Mccm_obs.Metric.incr c_arch_miss;
       let built =
-        Builder.Build.build ~options:t.options ~cache:t.bcache ?table:t.table
+        Builder.Build.build ~options:t.options ~cache:t.bcache ~table:t.table
           t.model t.board archi
       in
-      let e = Evaluate.run ~cache:t.seg ?table:t.table built in
+      let e = Evaluate.run ~cache:t.seg built in
       if store_arch then Arch_tbl.add t.archs key e;
       e
   end

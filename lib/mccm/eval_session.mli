@@ -32,16 +32,13 @@ type t
 val create :
   ?options:Builder.Build.options ->
   ?memoize:bool ->
-  ?use_table:bool ->
   Cnn.Model.t ->
   Platform.Board.t ->
   t
 (** [create model board] opens a session.  [options] defaults to
-    {!Builder.Build.default_options}; [memoize] defaults to [true].
-    [use_table] (default [true]) builds a {!Cnn.Table} once and threads
-    it through every build and evaluation, replacing per-layer list
-    walks with O(1) array reads; [~use_table:false] keeps the list-fold
-    reference path — results are bit-identical either way. *)
+    {!Builder.Build.default_options}; [memoize] defaults to [true].  The
+    session builds one {!Cnn.Table} of [model] and threads it through
+    every build and evaluation. *)
 
 val model : t -> Cnn.Model.t
 val board : t -> Platform.Board.t
@@ -50,7 +47,14 @@ val memoized : t -> bool
 (** Whether this session caches ([false] for the uncached baseline). *)
 
 val table : t -> Cnn.Table.t option
-(** The session's precomputed per-layer table, when enabled. *)
+(** The session's precomputed per-layer table; always [Some]. *)
+
+val check : fn:string -> t -> Cnn.Model.t -> Platform.Board.t -> unit
+(** [check ~fn t model board] accepts a session bound to a model and a
+    board structurally equal to [model] and [board] — a caller that
+    resolves a new but equal model value per request may reuse its
+    session.
+    @raise Invalid_argument naming [fn] otherwise. *)
 
 val evaluate : ?store_arch:bool -> t -> Arch.Block.arch -> Evaluate.t
 (** [evaluate t archi] is [Evaluate.evaluate (model t) (board t) archi]

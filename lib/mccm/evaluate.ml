@@ -32,7 +32,7 @@ let boundary_flags plan ~num_blocks ~index =
 
 (* Buffer bytes attributed to a block, including the on-chip double buffer
    toward its successor (Eq. 8's 2 x interSegBufferSz). *)
-let block_buffer_bytes ?table (built : Builder.Build.t) ~index =
+let block_buffer_bytes (built : Builder.Build.t) ~index =
   let plan = built.Builder.Build.plan in
   let base =
     match
@@ -50,14 +50,10 @@ let block_buffer_bytes ?table (built : Builder.Build.t) ~index =
         (fun i tile ->
           acc := !acc + (2 * tile);
           if p.Builder.Buffer_alloc.weights_retained.(i) then
-            let elems =
-              match table with
-              | Some t -> Cnn.Table.weight_elements t (first + i)
-              | None ->
-                Cnn.Layer.weight_elements
-                  (Cnn.Model.layer built.Builder.Build.model (first + i))
-            in
-            acc := !acc + (elems * bpe))
+            acc :=
+              !acc
+              + Cnn.Table.weight_elements built.Builder.Build.table (first + i)
+                * bpe)
         p.Builder.Buffer_alloc.fm_tile_bytes;
       let any_streamed = Array.exists not p.Builder.Buffer_alloc.weights_retained in
       if any_streamed then
@@ -75,9 +71,8 @@ let block_buffer_bytes ?table (built : Builder.Build.t) ~index =
   in
   base + inter
 
-let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
-    =
-  let model = built.Builder.Build.model in
+let eval_block ?cache (built : Builder.Build.t) ~index ~segment_counter =
+  let table = built.Builder.Build.table in
   let board = built.Builder.Build.board in
   let plan = built.Builder.Build.plan in
   let num_blocks = Array.length built.Builder.Build.blocks in
@@ -100,7 +95,7 @@ let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
     let compute () =
       Mccm_obs.span ~cat:"mccm" "eval.single_ce" @@ fun () ->
       Mccm_obs.Metric.incr c_single;
-      Single_ce_model.evaluate_with_validity ?table ~model ~board ~engine
+      Single_ce_model.evaluate_with_validity ~table ~board ~engine
         ~plan:splan ~first ~last ~input_on_chip ~output_on_chip ()
     in
     let r =
@@ -118,7 +113,7 @@ let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
         compute_s = r.Single_ce_model.compute_s;
         memory_s = r.Single_ce_model.memory_s;
         time_s = r.Single_ce_model.latency_s;
-        buffer_bytes = block_buffer_bytes ?table built ~index;
+        buffer_bytes = block_buffer_bytes built ~index;
         utilization = r.Single_ce_model.utilization;
         accesses = r.Single_ce_model.accesses;
       }
@@ -135,7 +130,7 @@ let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
     let compute () =
       Mccm_obs.span ~cat:"mccm" "eval.pipelined" @@ fun () ->
       Mccm_obs.Metric.incr c_pipelined;
-      Pipelined_model.evaluate ?table ~model ~board ~engines ~plan:pplan
+      Pipelined_model.evaluate ~table ~board ~engines ~plan:pplan
         ~first ~last ~input_on_chip ~output_on_chip ()
     in
     let r =
@@ -155,7 +150,7 @@ let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
             compute_s = only.Pipelined_model.compute_s;
             memory_s = only.Pipelined_model.memory_s;
             time_s = only.Pipelined_model.time_s;
-            buffer_bytes = block_buffer_bytes ?table built ~index;
+            buffer_bytes = block_buffer_bytes built ~index;
             utilization = only.Pipelined_model.utilization;
             accesses = only.Pipelined_model.accesses;
           };
@@ -189,15 +184,16 @@ let eval_block ?cache ?table (built : Builder.Build.t) ~index ~segment_counter
 let run ?cache ?table (built : Builder.Build.t) =
   Mccm_obs.span ~cat:"mccm" "eval.run" @@ fun () ->
   (match table with
-  | Some t -> Cnn.Table.check t built.Builder.Build.model
-  | None -> ());
+  | Some t when t != built.Builder.Build.table ->
+    invalid_arg "Evaluate.run: table is not the build's own"
+  | _ -> ());
   let board = built.Builder.Build.board in
   let plan = built.Builder.Build.plan in
   let num_blocks = Array.length built.Builder.Build.blocks in
   let segment_counter = ref 0 in
   let blocks =
     List.init num_blocks (fun index ->
-        eval_block ?cache ?table built ~index ~segment_counter)
+        eval_block ?cache built ~index ~segment_counter)
   in
   let accesses = Access.sum (List.map (fun b -> b.accesses) blocks) in
   let latency_s = List.fold_left (fun a b -> a +. b.latency_s) 0.0 blocks in
@@ -232,8 +228,6 @@ let run ?cache ?table (built : Builder.Build.t) =
   { metrics; breakdown; blocks; initiation_interval_s = ii;
     ii_compute_s = ii_compute; ii_memory_s = ii_memory }
 
-let evaluate model board archi =
-  let table = Cnn.Table.of_model model in
-  run ~table (Builder.Build.build ~table model board archi)
+let evaluate model board archi = run (Builder.Build.build model board archi)
 
 let metrics model board archi = (evaluate model board archi).metrics

@@ -42,13 +42,13 @@ type t = {
 }
 
 val run : ?cache:Seg_cache.t -> ?table:Cnn.Table.t -> Builder.Build.t -> t
-(** [run built] evaluates a built accelerator analytically.  [cache]
-    memoizes per-segment model results across calls sharing a (model,
-    board) pair — see {!Seg_cache}; results are bit-identical with and
-    without it.  [table] (a {!Cnn.Table} built from the same model)
-    switches per-layer scalar reads in the block models to the
-    precomputed O(1) fast path — also bit-identical.  Most callers want
-    {!Eval_session} instead of passing a cache directly. *)
+(** [run built] evaluates a built accelerator analytically, reading
+    every per-layer quantity from [built.table].  [cache] memoizes
+    per-segment model results across calls sharing a (model, board)
+    pair — see {!Seg_cache}; results are bit-identical with and without
+    it.  [table], when given, must be [built.table] itself.  Most
+    callers want {!Eval_session} instead of passing a cache directly.
+    @raise Invalid_argument if [table] is another table. *)
 
 val evaluate : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> t
 (** [evaluate model board archi] builds with the Multiple-CE Builder and

@@ -22,7 +22,8 @@ let single_rows (built : Builder.Build.t) ~engine ~plan ~first ~last
   let model = built.Builder.Build.model in
   let board = built.Builder.Build.board in
   let r =
-    Single_ce_model.evaluate ~model ~board ~engine ~plan ~first ~last
+    Single_ce_model.evaluate ~table:built.Builder.Build.table ~board ~engine
+      ~plan ~first ~last
       ~input_on_chip ~output_on_chip ()
   in
   List.map

@@ -33,55 +33,30 @@ type layer_info = {
   pes : int;
 }
 
-let layer_infos ?table ~model ~board ~engines ~plan ~first ~last () =
+let layer_infos ~table ~board ~engines ~plan ~first ~last =
   let bpe = board.Platform.Board.bytes_per_element in
   let ces = Array.length engines in
-  match table with
-  | Some tbl ->
-    Array.init (last - first + 1) (fun i ->
-        let idx = first + i in
-        let slot = i mod ces in
-        let engine = engines.(slot) in
-        let rows = plan.Builder.Buffer_alloc.tile_rows.(i) in
-        let ws = plan.Builder.Buffer_alloc.width_split in
-        let tiles =
-          Util.Int_math.ceil_div (Cnn.Table.out_height tbl idx) rows * ws
-        in
-        {
-          model_index = idx;
-          engine_slot = slot;
-          tiles;
-          tile_cyc =
-            Util.Int_math.ceil_div
-              (Engine.Ce.tile_cycles_at engine tbl idx ~rows)
-              ws;
-          weight_bytes = Cnn.Table.weight_elements tbl idx * bpe;
-          retained = plan.Builder.Buffer_alloc.weights_retained.(i);
-          macs = Cnn.Table.macs tbl idx;
-          ideal_cycles =
-            Engine.Ce.ideal_cycles_at ~pes:engine.Engine.Ce.pes tbl idx;
-          pes = engine.Engine.Ce.pes;
-        })
-  | None ->
-    Array.init (last - first + 1) (fun i ->
-        let layer = Cnn.Model.layer model (first + i) in
-        let slot = i mod ces in
-        let engine = engines.(slot) in
-        let rows = plan.Builder.Buffer_alloc.tile_rows.(i) in
-        let ws = plan.Builder.Buffer_alloc.width_split in
-        let tiles = Builder.Tiling.num_row_tiles layer ~rows * ws in
-        {
-          model_index = first + i;
-          engine_slot = slot;
-          tiles;
-          tile_cyc =
-            Util.Int_math.ceil_div (Engine.Ce.tile_cycles engine layer ~rows) ws;
-          weight_bytes = Cnn.Layer.weight_elements layer * bpe;
-          retained = plan.Builder.Buffer_alloc.weights_retained.(i);
-          macs = Cnn.Layer.macs layer;
-          ideal_cycles = Engine.Ce.ideal_cycles ~pes:engine.Engine.Ce.pes layer;
-          pes = engine.Engine.Ce.pes;
-        })
+  Array.init (last - first + 1) (fun i ->
+      let idx = first + i in
+      let slot = i mod ces in
+      let engine = engines.(slot) in
+      let rows = plan.Builder.Buffer_alloc.tile_rows.(i) in
+      let ws = plan.Builder.Buffer_alloc.width_split in
+      {
+        model_index = idx;
+        engine_slot = slot;
+        tiles = Builder.Tiling.num_row_tiles_at table idx ~rows * ws;
+        tile_cyc =
+          Util.Int_math.ceil_div
+            (Engine.Ce.tile_cycles_at engine table idx ~rows)
+            ws;
+        weight_bytes = Cnn.Table.weight_elements table idx * bpe;
+        retained = plan.Builder.Buffer_alloc.weights_retained.(i);
+        macs = Cnn.Table.macs table idx;
+        ideal_cycles =
+          Engine.Ce.ideal_cycles_at ~pes:engine.Engine.Ce.pes table idx;
+        pes = engine.Engine.Ce.pes;
+      })
 
 (* Eq. 2 evaluated exactly on the continuous tile schedule: tile [t] of a
    layer starts when its covering producer tile is done and its engine is
@@ -111,13 +86,13 @@ let latency_cycles infos ~ces =
     infos;
   Array.fold_left max 0 free
 
-let evaluate ?table ~model ~board ~engines ~plan ~first ~last ~input_on_chip
+let evaluate ~table ~board ~engines ~plan ~first ~last ~input_on_chip
     ~output_on_chip () =
   let bpe = board.Platform.Board.bytes_per_element in
   let ces = Array.length engines in
   let n = last - first + 1 in
   let num_rounds = Util.Int_math.ceil_div n ces in
-  let infos = layer_infos ?table ~model ~board ~engines ~plan ~first ~last () in
+  let infos = layer_infos ~table ~board ~engines ~plan ~first ~last in
   (* Eq. 3: per-engine busy time per input. *)
   let busy_cycles = Array.make ces 0 in
   Array.iter
@@ -128,16 +103,12 @@ let evaluate ?table ~model ~board ~engines ~plan ~first ~last ~input_on_chip
   let boundary_fms ~round =
     let input =
       if round = 0 && not input_on_chip then
-        match table with
-        | Some tbl -> Cnn.Table.ifm_elements tbl first * bpe
-        | None -> Cnn.Layer.ifm_elements (Cnn.Model.layer model first) * bpe
+        Cnn.Table.ifm_elements table first * bpe
       else 0
     in
     let output =
       if round = num_rounds - 1 && not output_on_chip then
-        match table with
-        | Some tbl -> Cnn.Table.ofm_elements tbl last * bpe
-        | None -> Cnn.Layer.ofm_elements (Cnn.Model.layer model last) * bpe
+        Cnn.Table.ofm_elements table last * bpe
       else 0
     in
     input + output

@@ -39,8 +39,7 @@ type result = {
 }
 
 val evaluate :
-  ?table:Cnn.Table.t ->
-  model:Cnn.Model.t ->
+  table:Cnn.Table.t ->
   board:Platform.Board.t ->
   engines:Engine.Ce.t array ->
   plan:Builder.Buffer_alloc.pipelined_plan ->
@@ -50,8 +49,7 @@ val evaluate :
   output_on_chip:bool ->
   unit ->
   result
-(** [evaluate] models layers [first..last] on [engines] under [plan].
-    Boundary-FM conventions match {!Single_ce_model.evaluate}.  [table]
-    (a {!Cnn.Table} built from [model]) switches per-layer scalar reads
-    to the precomputed fast path; results are bit-identical with or
-    without it. *)
+(** [evaluate] models layers [first..last] of [table]'s model on
+    [engines] under [plan], reading every per-layer quantity from
+    [table].  Boundary-FM conventions match
+    {!Single_ce_model.evaluate}. *)

@@ -159,36 +159,19 @@ let layer_candidates ~validity ~plan ~w ~ifm ~ofm ~extra ~band ~ifm_on_chip
   end;
   List.rev !cands
 
-let evaluate_with_validity ?table ~model ~board ~engine ~plan ~first ~last
+let evaluate_with_validity ~table ~board ~engine ~plan ~first ~last
     ~input_on_chip ~output_on_chip () =
   let bpe = board.Platform.Board.bytes_per_element in
   let validity = { lo = 0; hi = max_int } in
   (* Per-layer scalar view, in bytes: (weights, ifm, ofm, extra,
-     one-row IFM band, Eq.-1 cycles).  The table path reads precomputed
-     arrays; the reference path recomputes from [Layer.t] — both produce
-     identical integers. *)
-  let view =
-    match table with
-    | Some tbl ->
-      fun i ->
-        ( Cnn.Table.weight_elements tbl i * bpe,
-          Cnn.Table.ifm_elements tbl i * bpe,
-          Cnn.Table.ofm_elements tbl i * bpe,
-          Cnn.Table.extra_resident_elements tbl i * bpe,
-          Cnn.Table.band1_elements tbl i * bpe,
-          Engine.Ce.layer_cycles_at engine tbl i )
-    | None ->
-      fun i ->
-        let layer = Cnn.Model.layer model i in
-        ( Cnn.Layer.weight_elements layer * bpe,
-          Cnn.Layer.ifm_elements layer * bpe,
-          Cnn.Layer.ofm_elements layer * bpe,
-          layer.Cnn.Layer.extra_resident_elements * bpe,
-          Builder.Tiling.ifm_rows_for_ofm_rows layer ~rows:1
-          * layer.Cnn.Layer.in_shape.Cnn.Shape.width
-          * layer.Cnn.Layer.in_shape.Cnn.Shape.channels
-          * bpe,
-          Engine.Ce.layer_cycles engine layer )
+     one-row IFM band, Eq.-1 cycles). *)
+  let view i =
+    ( Cnn.Table.weight_elements table i * bpe,
+      Cnn.Table.ifm_elements table i * bpe,
+      Cnn.Table.ofm_elements table i * bpe,
+      Cnn.Table.extra_resident_elements table i * bpe,
+      Cnn.Table.band1_elements table i * bpe,
+      Engine.Ce.layer_cycles_at engine table i )
   in
   (* Two-state DP over the layer chain: a state is whether the layer's
      IFM is resident in the block's FM capacity.  Charging the cheapest
@@ -277,18 +260,14 @@ let evaluate_with_validity ?table ~model ~board ~engine ~plan ~first ~last
       0.0 layers
   in
   let utilization =
-    match table with
-    | Some tbl -> Engine.Ce.average_utilization_at engine tbl ~first ~last
-    | None ->
-      Engine.Ce.average_utilization engine
-        (Cnn.Model.layers_in_range model ~first ~last)
+    Engine.Ce.average_utilization_at engine table ~first ~last
   in
   ( { layers; compute_cycles; accesses; compute_s; memory_s; latency_s;
       utilization },
     (validity.lo, validity.hi) )
 
-let evaluate ?table ~model ~board ~engine ~plan ~first ~last ~input_on_chip
+let evaluate ~table ~board ~engine ~plan ~first ~last ~input_on_chip
     ~output_on_chip () =
   fst
-    (evaluate_with_validity ?table ~model ~board ~engine ~plan ~first ~last
+    (evaluate_with_validity ~table ~board ~engine ~plan ~first ~last
        ~input_on_chip ~output_on_chip ())

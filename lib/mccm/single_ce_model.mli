@@ -32,8 +32,7 @@ type result = {
 }
 
 val evaluate :
-  ?table:Cnn.Table.t ->
-  model:Cnn.Model.t ->
+  table:Cnn.Table.t ->
   board:Platform.Board.t ->
   engine:Engine.Ce.t ->
   plan:Builder.Buffer_alloc.single_plan ->
@@ -43,10 +42,8 @@ val evaluate :
   output_on_chip:bool ->
   unit ->
   result
-(** [evaluate] walks layers [first..last] on [engine].  [table] (a
-    {!Cnn.Table} built from [model]) switches the per-layer scalar
-    reads to the precomputed fast path; results are bit-identical with
-    or without it.
+(** [evaluate] walks layers [first..last] of [table]'s model on
+    [engine], reading every per-layer quantity from [table].
     [input_on_chip] tells whether the block's input FMs arrive through an
     on-chip inter-segment buffer; [output_on_chip] whether its final OFM
     leaves through one.  Boundary FM traffic is charged here (a load when
@@ -54,8 +51,7 @@ val evaluate :
     blocks sums accesses without double counting. *)
 
 val evaluate_with_validity :
-  ?table:Cnn.Table.t ->
-  model:Cnn.Model.t ->
+  table:Cnn.Table.t ->
   board:Platform.Board.t ->
   engine:Engine.Ce.t ->
   plan:Builder.Buffer_alloc.single_plan ->

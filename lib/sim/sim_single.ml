@@ -17,12 +17,13 @@ let weight_groups engine layer ~bpe =
   let total = Cnn.Layer.weight_elements layer * bpe in
   max 1 (Util.Int_math.ceil_div total tile)
 
-let simulate ~cfg ~dma ~model ~board ~engine ~plan ~first ~last ~input_on_chip
+let simulate ~cfg ~dma ~table ~board ~engine ~plan ~first ~last ~input_on_chip
     ~output_on_chip ~start =
+  let model = Cnn.Table.model table in
   (* Replay the analytical model's access decisions for exact byte
      parity; the event simulation below only adds time. *)
   let reference =
-    Mccm.Single_ce_model.evaluate ~model ~board ~engine ~plan ~first ~last
+    Mccm.Single_ce_model.evaluate ~table ~board ~engine ~plan ~first ~last
       ~input_on_chip ~output_on_chip ()
   in
   let port_cycles = ref 0.0 in

@@ -18,7 +18,7 @@ type t = {
 val simulate :
   cfg:Sim_config.t ->
   dma:Dma.t ->
-  model:Cnn.Model.t ->
+  table:Cnn.Table.t ->
   board:Platform.Board.t ->
   engine:Engine.Ce.t ->
   plan:Builder.Buffer_alloc.single_plan ->
@@ -28,4 +28,5 @@ val simulate :
   output_on_chip:bool ->
   start:float ->
   t
-(** [simulate] runs the block once starting no earlier than [start]. *)
+(** [simulate] runs layers [first..last] of [table]'s model once,
+    starting no earlier than [start]. *)

@@ -76,8 +76,8 @@ let simulate_block cfg ~clock (built : Builder.Build.t) ~index ~start =
   | ( Builder.Build.Built_single { engine; first; last },
       Builder.Buffer_alloc.Plan_single splan ) ->
     let r =
-      Sim_single.simulate ~cfg ~dma ~model ~board ~engine ~plan:splan ~first
-        ~last ~input_on_chip ~output_on_chip ~start
+      Sim_single.simulate ~cfg ~dma ~table:built.Builder.Build.table ~board
+        ~engine ~plan:splan ~first ~last ~input_on_chip ~output_on_chip ~start
     in
     {
       latency_cycles = r.Sim_single.busy_cycles;

@@ -14,18 +14,6 @@ let bounds ~chunks ~n =
   let bound i = (i * per) + min i rem in
   Array.init chunks (fun i -> (bound i, bound (i + 1)))
 
-let chunked_map ?clamp ~domains ~n f =
-  let d = effective ?clamp ~domains ~n () in
-  if d = 1 then [ f ~chunk:0 ~lo:0 ~hi:n ]
-  else
-    let parts = bounds ~chunks:d ~n in
-    let workers =
-      Array.mapi
-        (fun chunk (lo, hi) -> Domain.spawn (fun () -> f ~chunk ~lo ~hi))
-        parts
-    in
-    Array.to_list (Array.map Domain.join workers)
-
 (* ------------------------------------------------------------- pool *)
 
 module Pool = struct

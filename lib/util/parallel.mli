@@ -8,13 +8,12 @@
     be merged in a fixed order and the overall output is
     schedule-independent.
 
-    Two execution strategies share that contract: {!chunked_map} spawns
-    one short-lived domain per chunk (simple, but pays a
-    [Domain.spawn] per chunk), and {!Pool} keeps a persistent crew of
-    worker domains that serve any number of rounds — the right tool
-    when a search makes many parallel passes (local-search steps,
-    repeated sweeps) or when per-worker warm state (forked evaluation
-    sessions) should live as long as the whole search. *)
+    {!Pool} keeps a persistent crew of worker domains that serve any
+    number of rounds, so a search that makes many parallel passes
+    (local-search steps, repeated sweeps) spawns its domains once, and
+    per-worker warm state (forked evaluation sessions) lives as long as
+    the whole search; {!map_pooled} is the one-shot convenience
+    wrapper. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -33,19 +32,6 @@ val bounds : chunks:int -> n:int -> (int * int) array
     exactly [0, n).  The chunk count is capped at [max 1 n], so no
     returned interval is empty while [n > 0] (asking for more chunks
     than items just returns [n] singletons). *)
-
-val chunked_map :
-  ?clamp:bool ->
-  domains:int ->
-  n:int ->
-  (chunk:int -> lo:int -> hi:int -> 'a) ->
-  'a list
-(** [chunked_map ~domains ~n f] applies [f ~chunk ~lo ~hi] to each
-    chunk of [0, n) (see {!bounds}, with {!effective} chunks) and
-    returns the results in chunk order.  With one effective chunk the
-    call runs inline in the current domain; otherwise one domain is
-    spawned per chunk and joined in order.  [f] must be safe to run
-    concurrently with itself on disjoint chunks. *)
 
 (** Persistent worker-domain pool. *)
 module Pool : sig

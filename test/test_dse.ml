@@ -427,6 +427,26 @@ let test_flat_enumerate_matches_list () =
       (10, 4, 0);
     ]
 
+(* A session of another (model, board) pair is refused by name; a new
+   but equal model value, as the daemon resolves per request, is not. *)
+let test_explore_session_binding () =
+  let board = Platform.Board.vcu108 in
+  let session = Mccm.Eval_session.create mobv2 board in
+  let refused model board =
+    match Dse.Explore.run ~session ~samples:20 model board with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      String.starts_with ~prefix:"Explore.run: " msg
+  in
+  checkb "another board" true (refused mobv2 Platform.Board.zcu102);
+  checkb "another model" true (refused (Cnn.Model_zoo.resnet50 ()) board);
+  let evaluated r = r.Dse.Explore.evaluated in
+  checkb "an equal model value" true
+    (evaluated
+       (Dse.Explore.run ~session ~samples:20 (Cnn.Model_zoo.mobilenet_v2 ())
+          board)
+    = evaluated (Dse.Explore.run ~samples:20 mobv2 board))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -492,6 +512,8 @@ let () =
             test_explore_domain_count_invariant;
           Alcotest.test_case "parallel metrics" `Quick
             test_explore_parallel_matches_metrics;
+          Alcotest.test_case "session binding" `Quick
+            test_explore_session_binding;
         ] );
       ("properties", properties);
     ]

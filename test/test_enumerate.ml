@@ -416,6 +416,72 @@ let test_minimal_buffers_tradeoff () =
       Arch.Baselines.hybrid ~ces:4 res50;
     ]
 
+(* ------------------------------------------------ session binding *)
+
+(* A session memoizes one (model, board) pair.  Every entry point that
+   takes one must refuse a session of another pair by name — reusing it
+   would answer for the session's pair, or index past its table — and
+   accept a new but equal model value, which is what the daemon
+   resolves for each request. *)
+let raises_named ~fn f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+    String.starts_with ~prefix:(fn ^ ": ") msg
+
+let check_binding ~fn run =
+  let session = Mccm.Eval_session.create mobv2 board in
+  checkb "another board" true
+    (raises_named ~fn (fun () -> run ~session mobv2 Platform.Board.zcu102));
+  checkb "another model" true
+    (raises_named ~fn (fun () -> run ~session res50 board));
+  checkb "an equal model value" true
+    (run ~session (Cnn.Model_zoo.mobilenet_v2 ()) board
+    = run ~session:(Mccm.Eval_session.create mobv2 board) mobv2 board)
+
+let test_exhaustive_binding () =
+  check_binding ~fn:"Enumerate.exhaustive" (fun ~session model board ->
+      Dse.Enumerate.exhaustive ~max_specs:30 ~session ~ces:3 model board)
+
+let test_exhaustive_best_binding () =
+  check_binding ~fn:"Enumerate.exhaustive_best" (fun ~session model board ->
+      fst
+        (Dse.Enumerate.exhaustive_best ~max_specs:30 ~session
+           ~objective:`Throughput ~ces:3 model board))
+
+let test_local_search_binding () =
+  let seed =
+    { Arch.Custom.pipelined_layers = 2; tail_boundaries = [ 20; 40 ] }
+  in
+  check_binding ~fn:"Enumerate.local_search" (fun ~session model board ->
+      Dse.Enumerate.local_search ~max_steps:2 ~session
+        ~objective:(fun m -> m.Mccm.Metrics.throughput_ips)
+        model board seed)
+
+(* Queries shaped like the daemon's enumerate op — one session, a newly
+   resolved equal model value per call — must reuse the session's table
+   and the content-keyed bound floors instead of piling up fresh ones. *)
+let test_exhaustive_best_heap_flat () =
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let session = Mccm.Eval_session.create mobv2 board in
+  let query () =
+    ignore
+      (Sys.opaque_identity
+         (Dse.Enumerate.exhaustive_best ~max_specs:200 ~session
+            ~objective:`Throughput ~ces:3 (Cnn.Model_zoo.mobilenet_v2 ())
+            board))
+  in
+  query ();
+  let before = live_words () in
+  for _ = 1 to 5 do
+    query ()
+  done;
+  let grown = live_words () - before in
+  checkb (Printf.sprintf "live heap grew by %d words" grown) true (grown < 4096)
+
 let () =
   Alcotest.run "enumerate"
     [
@@ -457,6 +523,15 @@ let () =
             test_best_first_prunes;
           Alcotest.test_case "scan reports no nodes" `Quick
             test_scan_reports_no_nodes;
+        ] );
+      ( "session binding",
+        [
+          Alcotest.test_case "exhaustive" `Quick test_exhaustive_binding;
+          Alcotest.test_case "exhaustive_best" `Quick
+            test_exhaustive_best_binding;
+          Alcotest.test_case "local_search" `Quick test_local_search_binding;
+          Alcotest.test_case "equal models keep the heap flat" `Quick
+            test_exhaustive_best_heap_flat;
         ] );
       ( "builder options",
         [

@@ -6,6 +6,7 @@ let checkb = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-9))
 
 let res50 = Cnn.Model_zoo.resnet50 ()
+let res50_table = Cnn.Table.of_model res50
 let mobv2 = Cnn.Model_zoo.mobilenet_v2 ()
 
 (* ----------------------------------------------------------- Access *)
@@ -61,8 +62,8 @@ let single_block_setup ~fm_capacity_mib =
 
 let eval_single ~fm_capacity_mib =
   let board, engine, plan = single_block_setup ~fm_capacity_mib in
-  Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
-    ~last:9 ~input_on_chip:false ~output_on_chip:false ()
+  Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan
+    ~first:0 ~last:9 ~input_on_chip:false ~output_on_chip:false ()
 
 let test_single_ideal_accesses () =
   (* With FMs fully buffered, accesses = weights + input + output. *)
@@ -106,12 +107,12 @@ let test_single_interseg_input () =
   (* Declaring the input on-chip removes the input load. *)
   let board, engine, plan = single_block_setup ~fm_capacity_mib:8.0 in
   let off =
-    Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
-      ~last:9 ~input_on_chip:false ~output_on_chip:false ()
+    Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan
+      ~first:0 ~last:9 ~input_on_chip:false ~output_on_chip:false ()
   in
   let on =
-    Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
-      ~last:9 ~input_on_chip:true ~output_on_chip:false ()
+    Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan
+      ~first:0 ~last:9 ~input_on_chip:true ~output_on_chip:false ()
   in
   let bpe = 2 in
   check "saves exactly the input"
@@ -145,7 +146,8 @@ let eval_miniature ~cap_bytes ~input_on_chip =
       fm_ideal_bytes = 384;
     }
   in
-  Mccm.Single_ce_model.evaluate ~model ~board ~engine ~plan ~first:0 ~last:0
+  Mccm.Single_ce_model.evaluate ~table:(Cnn.Table.of_model model) ~board
+    ~engine ~plan ~first:0 ~last:0
     ~input_on_chip ~output_on_chip:false ()
 
 let test_eq6_miniature_fits () =
@@ -212,8 +214,8 @@ let pipelined_setup () =
 let test_pipelined_throughput_is_bottleneck () =
   let board, engines, plan, first, last = pipelined_setup () in
   let r =
-    Mccm.Pipelined_model.evaluate ~model:res50 ~board ~engines ~plan ~first
-      ~last ~input_on_chip:false ~output_on_chip:true ()
+    Mccm.Pipelined_model.evaluate ~table:res50_table ~board ~engines ~plan
+      ~first ~last ~input_on_chip:false ~output_on_chip:true ()
   in
   let max_busy =
     Array.fold_left Float.max 0.0 r.Mccm.Pipelined_model.busy_s_per_engine
@@ -253,7 +255,8 @@ let test_pipelined_eq2_uniform_round () =
     }
   in
   let r =
-    Mccm.Pipelined_model.evaluate ~model ~board ~engines ~plan ~first:0 ~last:2
+    Mccm.Pipelined_model.evaluate ~table:(Cnn.Table.of_model model) ~board
+      ~engines ~plan ~first:0 ~last:2
       ~input_on_chip:true ~output_on_chip:true ()
   in
   let tile_cyc = Engine.Ce.tile_cycles engines.(0) (List.hd layers) ~rows:4 in
@@ -280,8 +283,8 @@ let test_pipelined_weight_reload () =
     }
   in
   let eval p =
-    (Mccm.Pipelined_model.evaluate ~model:res50 ~board ~engines ~plan:p ~first
-       ~last ~input_on_chip:true ~output_on_chip:true ())
+    (Mccm.Pipelined_model.evaluate ~table:res50_table ~board ~engines
+       ~plan:p ~first ~last ~input_on_chip:true ~output_on_chip:true ())
       .Mccm.Pipelined_model.accesses
   in
   let streamed = eval all_streamed and retained = eval all_retained in
@@ -305,6 +308,50 @@ let test_evaluate_feasible_metrics () =
   checkb "buffers fit board" true
     (m.Mccm.Metrics.buffer_bytes
     <= Platform.Board.zcu102.Platform.Board.bram_bytes)
+
+(* Session-less evaluation keeps no per-call state: once a first pass
+   has warmed the content-keyed memos, repeating the same designs must
+   not grow the live heap (a memo keyed by each call's fresh table
+   would). *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let test_evaluate_heap_flat () =
+  let board = Platform.Board.vcu108 in
+  let designs =
+    List.concat_map
+      (fun ces ->
+        [ Arch.Baselines.segmented ~ces mobv2;
+          Arch.Baselines.segmented_rr ~ces mobv2;
+          Arch.Baselines.hybrid ~ces mobv2 ])
+      [ 2; 3; 4; 5; 6; 7 ]
+  in
+  let pass () =
+    List.iter
+      (fun a ->
+        ignore (Sys.opaque_identity (Mccm.Evaluate.metrics mobv2 board a)))
+      designs
+  in
+  pass ();
+  let before = live_words () in
+  for _ = 1 to 10 do
+    pass ()
+  done;
+  let grown = live_words () - before in
+  checkb (Printf.sprintf "live heap grew by %d words" grown) true (grown < 4096)
+
+let test_evaluate_run_own_table () =
+  let built =
+    Builder.Build.build res50 Platform.Board.zcu102
+      (Arch.Baselines.hybrid ~ces:4 res50)
+  in
+  checkb "the build's own table" true
+    (Mccm.Evaluate.run ~table:built.Builder.Build.table built
+    = Mccm.Evaluate.run built);
+  Alcotest.check_raises "another table of the same model"
+    (Invalid_argument "Evaluate.run: table is not the build's own") (fun () ->
+      ignore (Mccm.Evaluate.run ~table:(Cnn.Table.of_model res50) built))
 
 let test_evaluate_throughput_vs_latency () =
   (* With coarse pipelining, throughput exceeds 1/latency (stages overlap
@@ -514,6 +561,10 @@ let () =
           Alcotest.test_case "initiation interval" `Quick
             test_evaluate_initiation_interval;
           Alcotest.test_case "deterministic" `Quick test_evaluate_deterministic;
+          Alcotest.test_case "heap flat without a session" `Quick
+            test_evaluate_heap_flat;
+          Alcotest.test_case "run takes only the build's table" `Quick
+            test_evaluate_run_own_table;
         ] );
       ("properties", properties);
     ]

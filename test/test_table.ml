@@ -1,16 +1,22 @@
 (* Tests for the precomputed per-layer table (Cnn.Table), the parallel
-   chunking helper (Util.Parallel) and the bound-pruned, Domains-parallel
+   chunking helpers (Util.Parallel) and the bound-pruned, Domains-parallel
    exhaustive scan (Dse.Enumerate.exhaustive_best).
 
-   The load-bearing claims are all bit-exactness claims: the table path
-   must agree with the list-fold reference path to the last bit, and the
-   pruned/parallel scans must return exactly what the sequential
-   unpruned scan returns. *)
+   The table is the cost models' only per-layer source, so the
+   load-bearing claims are per-formula: every table read, and every
+   table-indexed function built on one, must equal its Cnn.Layer /
+   Engine.Ce / Builder.Tiling formula to the last bit.  The pruned and
+   parallel scans must return exactly what the sequential unpruned scan
+   returns. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* ------------------------------------------------- table vs list fold *)
+(* Fixed seeds: a property failure reproduces on every run. *)
+let to_alcotest ~seed t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
+
+(* ------------------------------------------- table reads vs formulas *)
 
 (* Every aggregate the table serves must equal the Model/Layer reference
    computation on random models and random ranges. *)
@@ -41,6 +47,7 @@ let prop_table_per_layer_scalars =
       let ok = ref true in
       for i = 0 to Cnn.Model.num_layers model - 1 do
         let l = Cnn.Model.layer model i in
+        let ins = l.Cnn.Layer.in_shape and outs = Cnn.Layer.out_shape l in
         let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents t i in
         ok :=
           !ok
@@ -49,6 +56,22 @@ let prop_table_per_layer_scalars =
           && Cnn.Table.ifm_elements t i = Cnn.Layer.ifm_elements l
           && Cnn.Table.ofm_elements t i = Cnn.Layer.ofm_elements l
           && Cnn.Table.fms_elements t i = Cnn.Layer.fms_elements l
+          && Cnn.Table.extra_resident_elements t i
+             = l.Cnn.Layer.extra_resident_elements
+          && Cnn.Table.in_height t i = ins.Cnn.Shape.height
+          && Cnn.Table.in_width t i = ins.Cnn.Shape.width
+          && Cnn.Table.in_channels t i = ins.Cnn.Shape.channels
+          && Cnn.Table.out_height t i = outs.Cnn.Shape.height
+          && Cnn.Table.out_width t i = outs.Cnn.Shape.width
+          && Cnn.Table.out_channels t i = outs.Cnn.Shape.channels
+          && Cnn.Table.kernel t i = l.Cnn.Layer.kernel
+          && Cnn.Table.stride t i = l.Cnn.Layer.stride
+          && Cnn.Table.padding t i = l.Cnn.Layer.padding
+          && Cnn.Table.is_depthwise t i
+             = (l.Cnn.Layer.kind = Cnn.Layer.Depthwise)
+          && Cnn.Table.band1_elements t i
+             = Builder.Tiling.ifm_rows_for_ofm_rows l ~rows:1
+               * ins.Cnn.Shape.width * ins.Cnn.Shape.channels
           && ef = Cnn.Layer.loop_extent l `Filters
           && ec = Cnn.Layer.loop_extent l `Channels
           && eh = Cnn.Layer.loop_extent l `Height
@@ -58,20 +81,100 @@ let prop_table_per_layer_scalars =
       done;
       !ok)
 
-(* The whole evaluation stack must be bit-identical with and without the
-   table: same model, board and architecture, full Metrics.t equality. *)
-let prop_table_path_bit_identical =
-  QCheck2.Test.make ~name:"table evaluation path is bit-identical"
-    ~count:60 Generators.case (fun case ->
-      let archi = Validate.Case.materialize case in
-      let metrics use_table =
-        let s =
-          Mccm.Eval_session.create ~memoize:false ~use_table
-            case.Validate.Case.model case.Validate.Case.board
+(* A random engine: an unroll factor on every Eq.-1 dimension (kernel
+   dimensions included, so no term is trivially 1) and a PE budget at or
+   above its degree. *)
+let engine_gen =
+  QCheck2.Gen.(
+    map
+      (fun (factors, spare) ->
+        let parallelism =
+          Engine.Parallelism.of_factors
+            (List.combine Engine.Parallelism.all_dims factors)
         in
-        Mccm.Eval_session.metrics s archi
+        Engine.Ce.v ~id:1
+          ~pes:(Engine.Parallelism.degree parallelism + spare)
+          ~parallelism ~dataflow:Engine.Dataflow.Output_stationary)
+      (pair (list_repeat 6 (int_range 1 9)) (int_range 0 64)))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_ce_at_matches_layer =
+  QCheck2.Test.make ~name:"Engine.Ce table reads equal Layer versions"
+    ~count:100
+    QCheck2.Gen.(triple Generators.model engine_gen (pair small_nat small_nat))
+    (fun (model, ce, (a, b)) ->
+      let t = Cnn.Table.of_model model in
+      let n = Cnn.Model.num_layers model in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let l = Cnn.Model.layer model i in
+        let pes = ce.Engine.Ce.pes in
+        ok :=
+          !ok
+          && Engine.Ce.layer_cycles_at ce t i = Engine.Ce.layer_cycles ce l
+          && Engine.Ce.ideal_cycles_at ~pes t i = Engine.Ce.ideal_cycles ~pes l
+          && List.for_all
+               (fun rows ->
+                 Engine.Ce.tile_cycles_at ce t i ~rows
+                 = Engine.Ce.tile_cycles ce l ~rows)
+               (let oh = Cnn.Table.out_height t i in
+                [ 0; 1; 2; 3; oh; oh + 1 ])
+      done;
+      let first = a mod n and last = b mod n in
+      let first, last = (min first last, max first last) in
+      !ok
+      && bits_equal
+           (Engine.Ce.average_utilization_at ce t ~first ~last)
+           (Engine.Ce.average_utilization ce
+              (Cnn.Model.layers_in_range model ~first ~last)))
+
+(* The builder's per-CE assignments: a contiguous range (single-CE
+   block) or one round-robin slot of a pipelined block. *)
+let prop_choose_indices_matches_choose =
+  QCheck2.Test.make ~name:"choose_indices equals choose" ~count:100
+    QCheck2.Gen.(
+      pair Generators.model
+        (quad (int_range 1 4096) small_nat small_nat (int_range 1 6)))
+    (fun (model, (pes, a, b, ces)) ->
+      let t = Cnn.Table.of_model model in
+      let n = Cnn.Model.num_layers model in
+      let first = a mod n and last = b mod n in
+      let first, last = (min first last, max first last) in
+      let range = List.init (last - first + 1) (fun k -> first + k) in
+      let slots =
+        Array.to_list (Builder.Workload.pipelined_assignment ~ces ~first ~last)
       in
-      metrics true = metrics false)
+      List.for_all
+        (fun indices ->
+          Engine.Parallelism.equal
+            (Builder.Parallelism_select.choose_indices ~pes t indices)
+            (Builder.Parallelism_select.choose ~pes
+               ~layers:(List.map (Cnn.Model.layer model) indices)))
+        (range :: slots))
+
+let prop_tiling_at_matches_layer =
+  QCheck2.Test.make ~name:"Tiling table reads equal Layer versions"
+    ~count:100 QCheck2.Gen.(pair Generators.model engine_gen)
+    (fun (model, ce) ->
+      let t = Cnn.Table.of_model model in
+      let ok = ref true in
+      for i = 0 to Cnn.Model.num_layers model - 1 do
+        let l = Cnn.Model.layer model i in
+        ok :=
+          !ok
+          && Builder.Tiling.weight_tile_elements_at ce t i
+             = Builder.Tiling.weight_tile_elements ce l
+          && Builder.Tiling.min_fm_elements_at t i
+             = Builder.Tiling.min_fm_elements l
+          && List.for_all
+               (fun rows ->
+                 Builder.Tiling.num_row_tiles_at t i ~rows
+                 = Builder.Tiling.num_row_tiles l ~rows)
+               (let oh = Cnn.Table.out_height t i in
+                [ 1; 2; 3; 7; oh; oh + 1 ])
+      done;
+      !ok)
 
 (* ------------------------------------------------------ Util.Parallel *)
 
@@ -108,7 +211,7 @@ let test_effective_clamps () =
     (Util.Parallel.effective ~domains:64 ~n:1000 ()
     <= Util.Parallel.recommended ())
 
-let test_chunked_map_order () =
+let test_map_pooled_order () =
   (* The concatenated chunk results must reproduce the sequential scan,
      in order, for every domain count. *)
   let n = 37 in
@@ -117,8 +220,8 @@ let test_chunked_map_order () =
     (fun domains ->
       let out =
         List.concat
-          (Util.Parallel.chunked_map ~clamp:false ~domains ~n
-             (fun ~chunk:_ ~lo ~hi -> List.init (hi - lo) (fun k ->
+          (Util.Parallel.map_pooled ~clamp:false ~chunk_hint:1 ~domains ~n
+             (fun ~worker:_ ~chunk:_ ~lo ~hi -> List.init (hi - lo) (fun k ->
                   let i = lo + k in
                   i * i)))
       in
@@ -213,19 +316,22 @@ let () =
   Alcotest.run "table"
     [
       ( "table",
-        List.map QCheck_alcotest.to_alcotest
+        List.mapi
+          (fun i p -> to_alcotest ~seed:(1301 + i) p)
           [
             prop_table_matches_model;
             prop_table_per_layer_scalars;
-            prop_table_path_bit_identical;
+            prop_ce_at_matches_layer;
+            prop_choose_indices_matches_choose;
+            prop_tiling_at_matches_layer;
           ] );
       ( "parallel",
         [
           Alcotest.test_case "bounds partition [0,n)" `Quick
             test_bounds_partition;
           Alcotest.test_case "effective clamps" `Quick test_effective_clamps;
-          Alcotest.test_case "chunked_map preserves order" `Quick
-            test_chunked_map_order;
+          Alcotest.test_case "map_pooled preserves order" `Quick
+            test_map_pooled_order;
         ] );
       ( "exhaustive",
         [
