@@ -1,89 +1,199 @@
 module P = Engine.Parallelism
 
-(* Ascending 7-smooth numbers up to [limit]. *)
+(* ---------------------------------------------------- 7-smooth table *)
+
+(* Every 7-smooth number <= [limit] (>= 1), ascending.  Each multiply is
+   guarded ([v <= limit / k] before [v * k]), so the walk stops at
+   [max_int] instead of wrapping: there are 75,711 7-smooth ints. *)
 let smooth_upto limit =
-  if limit < 1 then []
+  let acc = ref [] in
+  let rec walk k next v =
+    next v;
+    if v <= limit / k then walk k next (v * k)
+  in
+  walk 2 (walk 3 (walk 5 (walk 7 (fun v -> acc := v :: !acc)))) 1;
+  let a = Array.of_list !acc in
+  Array.sort compare a;
+  a
+
+(* [values] is every 7-smooth number <= [limit], ascending. *)
+type table = { limit : int; values : int array }
+
+(* One process-wide table, grown on demand and shared by every domain.
+   A published table is immutable and only ever replaced by one with a
+   larger [limit], so it is a prefix-extension of its predecessor and an
+   index read from one stays valid in every later one. *)
+let table = Atomic.make { limit = 1; values = [| 1 |] }
+
+let rec covering n =
+  let t = Atomic.get table in
+  if t.limit >= n then t
   else begin
-    let acc = ref [] in
-    let rec loop7 v = if v <= limit then (acc := v :: !acc; loop7 (v * 7)) in
-    let rec loop5 v = if v <= limit then (loop7 v; loop5 (v * 5)) in
-    let rec loop3 v = if v <= limit then (loop5 v; loop3 (v * 3)) in
-    let rec loop2 v = if v <= limit then (loop3 v; loop2 (v * 2)) in
-    loop2 1;
-    List.sort_uniq compare !acc
+    let doubled = if t.limit > max_int / 2 then max_int else 2 * t.limit in
+    let limit = max n doubled in
+    let t' = { limit; values = smooth_upto limit } in
+    if Atomic.compare_and_set table t t' then t' else covering n
   end
 
-let smooth_degree n =
-  if n < 1 then 1 else List.fold_left max 1 (smooth_upto n)
+(* Number of entries <= [n] of an ascending array. *)
+let count_le values n =
+  let lo = ref 0 and hi = ref (Array.length values) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if values.(mid) <= n then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* Smallest 7-smooth number >= n.  A power of two always lies in
-   [n, 2n), so searching up to 2n suffices. *)
+let smooth_degree n =
+  if n < 1 then 1
+  else
+    let t = covering n in
+    t.values.(count_le t.values n - 1)
+
+(* Smallest 7-smooth number >= n, or [max_int] above the largest one.
+   A power of two always lies in [n, 2n), so a table covering 2n
+   (saturated at [max_int]) holds the answer when there is one. *)
 let next_smooth_geq n =
   if n <= 1 then 1
-  else List.find (fun s -> s >= n) (smooth_upto (2 * n))
+  else
+    let t = covering (if n > max_int / 2 then max_int else 2 * n) in
+    let i = count_le t.values (n - 1) in
+    if i < Array.length t.values then t.values.(i) else max_int
+
+(* ------------------------------------------------------------ search *)
 
 (* choose is on the DSE hot path (thousands of engines per sweep) and
    candidate evaluation is pure, so results are memoised by the engine's
    PE count and the layers' loop-extent signature.  Exploration runs in
-   parallel domains; the table is mutex-protected. *)
+   parallel domains; the memo is mutex-protected. *)
 let cache :
     (int * bool * (int * int * int * int) list, P.t) Hashtbl.t =
   Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
 
-(* The search proper, keyed by the loop-extent signature.  [choose] and
-   [choose_indices] build identical (pes, channel_mode, terms) keys from
-   the layer list and the table respectively, so the two entry points
-   share memoised results. *)
-let solve ~pes ~channel_mode ~terms =
-    let key = (pes, channel_mode, terms) in
-    let cached =
-      Mutex.lock cache_lock;
-      let r = Hashtbl.find_opt cache key in
-      Mutex.unlock cache_lock;
-      r
+(* The argmin over 7-smooth (d1, h, w) of
+   [sum rest * ceil(e1/d1) * ceil(eh/h) * ceil(ew/w)], enumerated d1
+   ascending, then h ascending, with w the largest smooth degree that
+   fits [pes / d1 / h] and the layers' widths; ties go to the larger
+   d1, then the larger h, from the seed (cost 1 1 1, 1, 1, 1).
+
+   Terms with equal (e1, eh, ew) are merged by summing [rest]: the cost
+   is linear in [rest], so the merge is exact in (wrapping) int
+   arithmetic.  The h and w ceil quotients are precomputed once per
+   candidate degree into flat arrays, and the d1 ones (pre-multiplied
+   by [rest]) once per d1, so each (d1, h) pair is a division-free,
+   allocation-free multiply-add over the groups. *)
+let search ~pes terms =
+  let groups =
+    let rec merge = function
+      | (e1, eh, ew, r) :: (e1', eh', ew', r') :: tl
+        when e1 = e1' && eh = eh' && ew = ew' ->
+        merge ((e1, eh, ew, r + r') :: tl)
+      | t :: tl -> t :: merge tl
+      | [] -> []
     in
-    match cached with
-    | Some p -> p
-    | None ->
-      let cd = Util.Int_math.ceil_div in
-      let max_of sel = List.fold_left (fun a t -> max a (sel t)) 1 terms in
-      let max1 = max_of (fun (d, _, _, _) -> d) in
-      let maxh = max_of (fun (_, h, _, _) -> h) in
-      let maxw = max_of (fun (_, _, w, _) -> w) in
-      let cost d1 h w =
-        List.fold_left
-          (fun acc (e1, eh, ew, rest) ->
-            acc + (rest * cd e1 d1 * cd eh h * cd ew w))
-          0 terms
-      in
-      let best = ref (cost 1 1 1, 1, 1, 1) in
-      let consider d1 h w =
-        let c = cost d1 h w in
-        let bc, bd, bh, _ = !best in
-        if c < bc || (c = bc && (d1 > bd || (d1 = bd && h > bh))) then
-          best := (c, d1, h, w)
-      in
-      List.iter
-        (fun d1 ->
-          let rem = pes / d1 in
-          List.iter
-            (fun h ->
-              let w = smooth_degree (min (rem / h) (next_smooth_geq maxw)) in
-              consider d1 h w)
-            (smooth_upto (min rem (next_smooth_geq maxh))))
-        (smooth_upto (min pes (next_smooth_geq max1)));
-      let _, d1, h, w = !best in
-      let p =
-        P.of_factors
-          (if channel_mode then [ (P.Channels, d1); (P.Height, h); (P.Width, w) ]
-           else [ (P.Filters, d1); (P.Height, h); (P.Width, w) ])
-      in
-      Mutex.lock cache_lock;
-      (if not (Hashtbl.mem cache key) then Hashtbl.add cache key p);
-      Mutex.unlock cache_lock;
-      p
+    Array.of_list (merge (List.sort compare terms))
+  in
+  let g = Array.length groups in
+  let max_of sel = Array.fold_left (fun a t -> max a (sel t)) 1 groups in
+  let cap1 = next_smooth_geq (max_of (fun (d, _, _, _) -> d)) in
+  let caph = next_smooth_geq (max_of (fun (_, h, _, _) -> h)) in
+  let capw = next_smooth_geq (max_of (fun (_, _, w, _) -> w)) in
+  (* Every cap is in the table (or it is [max_int] and the table is
+     full), so the table read last covers all three. *)
+  let s = (Atomic.get table).values in
+  let n1 = count_le s (min pes cap1) in
+  let nh = count_le s (min pes caph) in
+  let nw = count_le s (min pes capw) in
+  (* q.(j * g + k): group k's ceil quotient at candidate degree s.(j). *)
+  let quotients n f =
+    let q = Array.make (n * g) 0 in
+    for j = 0 to n - 1 do
+      for k = 0 to g - 1 do
+        q.((j * g) + k) <- f groups.(k) s.(j)
+      done
+    done;
+    q
+  in
+  let cd = Util.Int_math.ceil_div in
+  let qh = quotients nh (fun (_, eh, _, _) h -> cd eh h) in
+  let qw = quotients nw (fun (_, _, ew, _) w -> cd ew w) in
+  (* q1.(k): group k's [rest * ceil(e1 / d1)] at the current d1. *)
+  let q1 = Array.make g 0 in
+  let set_d1 d1 =
+    for k = 0 to g - 1 do
+      let e1, _, _, rest = groups.(k) in
+      q1.(k) <- rest * cd e1 d1
+    done
+  in
+  let cost j k =
+    let b = j * g and c = k * g in
+    let acc = ref 0 in
+    for x = 0 to g - 1 do
+      acc := !acc + (q1.(x) * qh.(b + x) * qw.(c + x))
+    done;
+    !acc
+  in
+  set_d1 1;
+  let bc = ref (cost 0 0) and bd = ref 1 and bh = ref 1 and bw = ref 1 in
+  (* h's top index only moves down as d1 grows: [pes / d1] falls. *)
+  let hi = ref (nh - 1) in
+  for i = 0 to n1 - 1 do
+    let d1 = s.(i) in
+    let rem = pes / d1 in
+    set_d1 d1;
+    while s.(!hi) > rem do decr hi done;
+    (* w's index only moves down as h grows: [rem / h] falls.  The test
+       [s.(w) * h > rem] is [s.(w) > rem / h] without the division; the
+       product never exceeds 2 * rem (the previous h kept
+       [s.(w) * h' <= rem], and consecutive smooth numbers are at most
+       a factor 2 apart), so an overflow shows up as a negative one. *)
+    let w = ref (nw - 1) in
+    for j = 0 to !hi do
+      let h = s.(j) in
+      while
+        let p = s.(!w) * h in
+        p > rem || p < 0
+      do
+        decr w
+      done;
+      let c = cost j !w in
+      if c < !bc || (c = !bc && (d1 > !bd || (d1 = !bd && h > !bh))) then begin
+        bc := c;
+        bd := d1;
+        bh := h;
+        bw := s.(!w)
+      end
+    done
+  done;
+  (!bd, !bh, !bw)
+
+(* The memoised search, keyed by the loop-extent signature.  [choose]
+   and [choose_indices] build identical (pes, channel_mode, terms) keys
+   from the layer list and the table respectively, so the two entry
+   points share memoised results. *)
+let solve ~pes ~channel_mode ~terms =
+  let key = (pes, channel_mode, terms) in
+  let cached =
+    Mutex.lock cache_lock;
+    let r = Hashtbl.find_opt cache key in
+    Mutex.unlock cache_lock;
+    r
+  in
+  match cached with
+  | Some p -> p
+  | None ->
+    let d1, h, w = search ~pes terms in
+    let p =
+      P.of_factors
+        (if channel_mode then [ (P.Channels, d1); (P.Height, h); (P.Width, w) ]
+         else [ (P.Filters, d1); (P.Height, h); (P.Width, w) ])
+    in
+    Mutex.lock cache_lock;
+    (if not (Hashtbl.mem cache key) then Hashtbl.add cache key p);
+    Mutex.unlock cache_lock;
+    p
 
 let choose ~pes ~layers =
   if pes < 1 then invalid_arg "Parallelism_select.choose: pes < 1";

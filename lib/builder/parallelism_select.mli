@@ -4,11 +4,15 @@
     filters (or channels for depthwise-dominated engines), OFM height
     and OFM width.  Unroll degrees are kept 7-smooth — every prime
     factor is at most 7 — matching the divisor structure of real CNN
-    loop extents so that ceil-division waste stays low. *)
+    loop extents so that ceil-division waste stays low.
+
+    The 7-smooth numbers come from one process-wide ascending table,
+    shared by every domain and grown on demand (it holds at most the
+    75,711 7-smooth ints); lookups in it are binary searches. *)
 
 val smooth_degree : int -> int
 (** [smooth_degree n] is the largest 7-smooth number that is at most
-    [n], or 1 when [n < 1]. *)
+    [n], or 1 when [n < 1].  Total on every [int], [max_int] included. *)
 
 val choose : pes:int -> layers:Cnn.Layer.t list -> Engine.Parallelism.t
 (** [choose ~pes ~layers] picks a 3-D parallelism whose total degree is
@@ -21,6 +25,13 @@ val choose : pes:int -> layers:Cnn.Layer.t list -> Engine.Parallelism.t
     engine idle.  Ties prefer a larger first-dimension factor, then a
     larger height factor.  Returns {!Engine.Parallelism.scalar} for an
     empty layer list.
+
+    The search is exact over every 7-smooth (first, height) pair, with
+    the largest 7-smooth width that fits.  Layers of equal loop extents
+    are priced as one group, and every ceil quotient is computed once
+    per candidate degree, so a pair costs one multiply-add per group.
+    Results are memoised process-wide by [pes] and the layers' loop
+    extents.
 
     @raise Invalid_argument if [pes < 1]. *)
 

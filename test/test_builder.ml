@@ -42,7 +42,13 @@ let test_smooth_degree () =
   let d = Builder.Parallelism_select.smooth_degree 2521 in
   checkb "<= n" true (d <= 2521);
   let rec strip n p = if n mod p = 0 then strip (n / p) p else n in
-  check "7-smooth" 1 (strip (strip (strip (strip d 2) 3) 5) 7)
+  check "7-smooth" 1 (strip (strip (strip (strip d 2) 3) 5) 7);
+  (* Near max_int the generator's multiplies would wrap past it; the
+     expected values come from exact big-integer enumeration. *)
+  check "max_int" 4611653492853012480
+    (Builder.Parallelism_select.smooth_degree max_int);
+  check "2^61 - 1" 2305826746426506240
+    (Builder.Parallelism_select.smooth_degree ((1 lsl 61) - 1))
 
 let test_choose_degree_within_budget () =
   let layers = Cnn.Model.layers_in_range res50 ~first:0 ~last:9 in
