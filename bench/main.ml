@@ -334,8 +334,7 @@ let bench_dse () =
    JSON records.  CI gates 4-domain vs 1-domain warm throughput — but
    only when the recording machine actually had >= 4 cores, so the JSON
    also records the runner's recommended domain count — plus a
-   winners-identical matrix over {1,2,4} domains x {scan, best-first} x
-   {pruned, unpruned}. *)
+   winners-identical matrix over {1,2,4} domains x {pruned, unpruned}. *)
 
 type par_point = {
   pd_domains : int;
@@ -371,14 +370,11 @@ let bench_parallel () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Pin the strategy: `Auto would switch 1-domain runs onto the
-     best-first search and the 4-vs-1-domain gate would compare two
-     different algorithms. *)
   let run ?pool domains =
     let session = Mccm.Eval_session.create ~memoize:false model board in
     time (fun () ->
         Dse.Enumerate.exhaustive_best ~max_specs ~session ~domains ?pool
-          ~clamp:false ~strategy:`Scan ~objective:`Throughput ~ces model board)
+          ~clamp:false ~objective:`Throughput ~ces model board)
   in
   let (ref_best, ref_stats), _ = run 1 in
   let points =
@@ -449,26 +445,22 @@ let bench_parallel () =
           ph_chunks = counter "dse.parallel.chunks";
         })
   in
-  (* The determinism matrix behind the /5 gate: every combination of
-     domain count, search strategy and pruning must return the same
+  (* The determinism matrix behind the winners_identical gate: every
+     combination of domain count and pruning must return the same
      winner as the sequential unpruned reference. *)
   let winners_identical =
-    let winner ~domains ~strategy ~prune =
+    let winner ~domains ~prune =
       let session = Mccm.Eval_session.create ~memoize:false model board in
       fst
         (Dse.Enumerate.exhaustive_best ~max_specs ~session ~domains
-           ~clamp:false ~strategy ~prune ~objective:`Throughput ~ces model
-           board)
+           ~clamp:false ~prune ~objective:`Throughput ~ces model board)
     in
-    let reference = winner ~domains:1 ~strategy:`Scan ~prune:false in
+    let reference = winner ~domains:1 ~prune:false in
     List.for_all
       (fun domains ->
         List.for_all
-          (fun strategy ->
-            List.for_all
-              (fun prune -> winner ~domains ~strategy ~prune = reference)
-              [ true; false ])
-          [ `Scan; `Best_first ])
+          (fun prune -> winner ~domains ~prune = reference)
+          [ true; false ])
       [ 1; 2; 4 ]
   in
   let bench =
@@ -516,34 +508,33 @@ let bench_parallel () =
      %.3fs over %d round(s) / %d chunk(s)@."
     phases.ph_warmup_s phases.ph_fork_s phases.ph_chunk_s phases.ph_absorb_s
     phases.ph_rounds phases.ph_chunks;
-  Format.printf "winners identical across domains x strategy x pruning: %b@."
+  Format.printf "winners identical across domains x pruning: %b@."
     winners_identical;
   if not winners_identical then
     failwith "exhaustive_parallel: winner matrix disagrees";
   bench
 
 (* ------------------------------------------------------------------ *)
-(* Best-first branch-and-bound vs pruned scan on the deep-space
-   configuration (ResNet152, 10 CEs) where the segment bounds actually
-   bite: both searches are exact, so the winner must match bit for bit,
-   and CI gates the recorded prune ratio at 0.5. *)
+(* Pruned vs unpruned exhaustive search on the deep-space configuration
+   (ResNet152, 10 CEs) where the segment bounds actually bite: pruning
+   is exact, so the winner must match bit for bit, and CI gates the
+   recorded prune ratio at 0.5. *)
 
-type bnb_bench = {
-  bb_model : string;
-  bb_board : string;
-  bb_ces : int;
-  bb_max_specs : int;
-  bb_enumerated : int;
-  bb_evaluated : int;
-  bb_pruned : int;
-  bb_nodes : int;
-  bb_prune_ratio : float;
-  bb_seconds : float;
-  bb_scan_seconds : float;
-  bb_winner_matches_scan : bool;
+type pruned_bench = {
+  pb_model : string;
+  pb_board : string;
+  pb_ces : int;
+  pb_max_specs : int;
+  pb_enumerated : int;
+  pb_evaluated : int;
+  pb_pruned : int;
+  pb_prune_ratio : float;
+  pb_seconds : float;
+  pb_unpruned_seconds : float;
+  pb_winner_matches_unpruned : bool;
 }
 
-let bench_bnb () =
+let bench_pruned () =
   let model = Cnn.Model_zoo.resnet152 () in
   let board = Platform.Board.vcu108 in
   let ces = 10 and max_specs = 30000 in
@@ -552,64 +543,61 @@ let bench_bnb () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let run strategy =
+  let run prune =
     let session = Mccm.Eval_session.create ~memoize:false model board in
     time (fun () ->
-        Dse.Enumerate.exhaustive_best ~max_specs ~session ~clamp:false
-          ~strategy ~objective:`Throughput ~ces model board)
+        Dse.Enumerate.exhaustive_best ~max_specs ~session ~clamp:false ~prune
+          ~objective:`Throughput ~ces model board)
   in
-  let (bnb_best, bnb_stats), bnb_s = run `Best_first in
-  let (scan_best, _), scan_s = run `Scan in
-  if bnb_best <> scan_best then
-    failwith "enumerate_bnb: best-first winner disagrees with the pruned scan";
+  let (best, stats), seconds = run true in
+  let (unpruned_best, _), unpruned_seconds = run false in
+  if best <> unpruned_best then
+    failwith "enumerate_pruned: pruned winner disagrees with the unpruned scan";
   let bench =
     {
-      bb_model = "ResNet152";
-      bb_board = "VCU108";
-      bb_ces = ces;
-      bb_max_specs = max_specs;
-      bb_enumerated = bnb_stats.Dse.Enumerate.enumerated;
-      bb_evaluated = bnb_stats.Dse.Enumerate.evaluated;
-      bb_pruned = bnb_stats.Dse.Enumerate.pruned;
-      bb_nodes = bnb_stats.Dse.Enumerate.nodes;
-      bb_prune_ratio =
-        float_of_int bnb_stats.Dse.Enumerate.pruned
-        /. float_of_int (max 1 bnb_stats.Dse.Enumerate.enumerated);
-      bb_seconds = bnb_s;
-      bb_scan_seconds = scan_s;
-      bb_winner_matches_scan = true;
+      pb_model = "ResNet152";
+      pb_board = "VCU108";
+      pb_ces = ces;
+      pb_max_specs = max_specs;
+      pb_enumerated = stats.Dse.Enumerate.enumerated;
+      pb_evaluated = stats.Dse.Enumerate.evaluated;
+      pb_pruned = stats.Dse.Enumerate.pruned;
+      pb_prune_ratio =
+        float_of_int stats.Dse.Enumerate.pruned
+        /. float_of_int (max 1 stats.Dse.Enumerate.enumerated);
+      pb_seconds = seconds;
+      pb_unpruned_seconds = unpruned_seconds;
+      pb_winner_matches_unpruned = true;
     }
   in
   let table =
     Util.Table.create
       ~title:
-        (Format.sprintf
-           "Best-first branch-and-bound (%s / %s, ces=%d, %d specs)"
-           bench.bb_model bench.bb_board ces bench.bb_enumerated)
+        (Format.sprintf "Pruned exhaustive search (%s / %s, ces=%d, %d specs)"
+           bench.pb_model bench.pb_board ces bench.pb_enumerated)
       ~columns:
         [ ("search", Util.Table.Left); ("seconds", Util.Table.Right);
-          ("evaluated", Util.Table.Right); ("pruned", Util.Table.Right);
-          ("nodes", Util.Table.Right) ]
+          ("evaluated", Util.Table.Right); ("pruned", Util.Table.Right) ]
       ()
   in
   Util.Table.add_row table
-    [ "best-first"; Format.sprintf "%.3f" bnb_s;
-      string_of_int bench.bb_evaluated;
-      Format.sprintf "%d (%.1f%%)" bench.bb_pruned
-        (100.0 *. bench.bb_prune_ratio);
-      string_of_int bench.bb_nodes ];
+    [ "pruned"; Format.sprintf "%.3f" seconds;
+      string_of_int bench.pb_evaluated;
+      Format.sprintf "%d (%.1f%%)" bench.pb_pruned
+        (100.0 *. bench.pb_prune_ratio) ];
   Util.Table.add_row table
-    [ "pruned scan"; Format.sprintf "%.3f" scan_s; "-"; "-"; "0" ];
+    [ "unpruned"; Format.sprintf "%.3f" unpruned_seconds;
+      string_of_int bench.pb_enumerated; "0" ];
   Util.Table.print table;
-  Format.printf "winners identical across strategies@.";
+  Format.printf "winner identical with and without pruning@.";
   bench
 
-(* Hand-rolled JSON emission (the toolchain has no JSON library); the
-   schema is consumed by check_bench.ml and CI. *)
-let write_bench_json ~path rows par bnb =
+(* Hand-rolled JSON emission, one record per line; the schema is
+   consumed by check_bench.ml and CI. *)
+let write_bench_json ~path rows par pruned =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.bprintf buf fmt in
-  add "{\n  \"schema\": \"mccm-bench-dse/5\",\n";
+  add "{\n  \"schema\": \"mccm-bench-dse/6\",\n";
   add "  \"fig10_samples\": %d,\n" !fig10_samples;
   add "  \"recommended_domains\": %d,\n" (Util.Parallel.recommended ());
   add "  \"workloads\": [\n";
@@ -667,18 +655,19 @@ let write_bench_json ~path rows par bnb =
     par.par_points;
   add "    ] },\n";
   add
-    "  \"enumerate_bnb\": { \"model\": \"%s\", \"board\": \"%s\", \"ces\": \
-     %d, \"max_specs\": %d,\n"
-    bnb.bb_model bnb.bb_board bnb.bb_ces bnb.bb_max_specs;
+    "  \"enumerate_pruned\": { \"model\": \"%s\", \"board\": \"%s\", \
+     \"ces\": %d, \"max_specs\": %d,\n"
+    pruned.pb_model pruned.pb_board pruned.pb_ces pruned.pb_max_specs;
   add
-    "    \"enumerated\": %d, \"evaluated\": %d, \"pruned\": %d, \"nodes\": \
-     %d, \"prune_ratio\": %.4f,\n"
-    bnb.bb_enumerated bnb.bb_evaluated bnb.bb_pruned bnb.bb_nodes
-    bnb.bb_prune_ratio;
+    "    \"enumerated\": %d, \"evaluated\": %d, \"pruned\": %d, \
+     \"prune_ratio\": %.4f,\n"
+    pruned.pb_enumerated pruned.pb_evaluated pruned.pb_pruned
+    pruned.pb_prune_ratio;
   add
-    "    \"seconds\": %.6f, \"scan_seconds\": %.6f, \
-     \"winner_matches_scan\": %b },\n"
-    bnb.bb_seconds bnb.bb_scan_seconds bnb.bb_winner_matches_scan;
+    "    \"seconds\": %.6f, \"unpruned_seconds\": %.6f, \
+     \"winner_matches_unpruned\": %b },\n"
+    pruned.pb_seconds pruned.pb_unpruned_seconds
+    pruned.pb_winner_matches_unpruned;
   add "  \"artifacts\": [\n";
   (* Only paper artifacts; the Bechamel and cache sections time themselves. *)
   let times =
@@ -730,10 +719,10 @@ let () =
   section "DSE session cache" (fun () -> rows := bench_dse ());
   let par = ref None in
   section "parallel exhaustive scan" (fun () -> par := Some (bench_parallel ()));
-  let bnb = ref None in
-  section "best-first branch-and-bound" (fun () -> bnb := Some (bench_bnb ()));
+  let pruned = ref None in
+  section "pruned exhaustive search" (fun () -> pruned := Some (bench_pruned ()));
   write_bench_json
     ~path:(Option.value json ~default:"BENCH_dse.json")
     !rows
     (Option.get !par)
-    (Option.get !bnb)
+    (Option.get !pruned)

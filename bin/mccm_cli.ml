@@ -67,6 +67,22 @@ let board_arg =
     & info [ "b"; "board" ] ~docv:"BOARD"
         ~doc:"FPGA board (ZC706, VCU108, VCU110 or ZCU102).")
 
+(* An int flag with a floor, checked while the arguments are parsed:
+   a value below [lo] is a usage error (exit 124) naming the flag,
+   not an exception out of the library.  The floors match the
+   daemon's own request checks. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%d', expected an integer >= %d" n
+              lo))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* Architecture strings resolve through Arch.Shorthand: baseline names
    or the paper's block notation. *)
 let arch_of_string model s = Arch.Shorthand.parse model s
@@ -246,9 +262,9 @@ let sweep_cmd =
 let explore_cmd =
   let samples_arg =
     Arg.(
-      value & opt int 2000
+      value & opt (int_at_least 1) 2000
       & info [ "n"; "samples" ] ~docv:"N"
-          ~doc:"Number of random custom designs to evaluate.")
+          ~doc:"Number of random custom designs to evaluate (at least 1).")
   in
   let seed_arg =
     Arg.(
@@ -608,16 +624,16 @@ let refine_cmd =
 let enumerate_cmd =
   let ces_arg =
     Arg.(
-      value & opt int 8
+      value & opt (int_at_least 2) 8
       & info [ "c"; "ces" ] ~docv:"CES"
-          ~doc:"Compute-engine count: every custom design with exactly \
-                $(docv) engines is considered.")
+          ~doc:"Compute-engine count (at least 2): every custom design \
+                with exactly $(docv) engines is considered.")
   in
   let max_specs_arg =
     Arg.(
-      value & opt int 20000
+      value & opt (int_at_least 1) 20000
       & info [ "max-specs" ] ~docv:"N"
-          ~doc:"Stop listing the space after $(docv) specs.")
+          ~doc:"Stop listing the space after $(docv) specs (at least 1).")
   in
   let domains_arg =
     Arg.(
@@ -644,15 +660,6 @@ let enumerate_cmd =
             "Disable the admissible-bound prune (every spec is \
              evaluated; the chosen design is unchanged).")
   in
-  let scan_arg =
-    Arg.(
-      value & flag
-      & info [ "scan" ]
-          ~doc:
-            "Force the chunked scan instead of the best-first \
-             branch-and-bound (the default with pruning on and one \
-             domain).  The chosen design is unchanged.")
-  in
   let no_clamp_arg =
     Arg.(
       value & flag
@@ -663,25 +670,24 @@ let enumerate_cmd =
              unchanged; useful for exercising the multi-domain path on \
              small machines.")
   in
-  let run obs model board ces max_specs domains best no_prune scan no_clamp =
+  let run obs model board ces max_specs domains best no_prune no_clamp =
     with_obs "enumerate" obs @@ fun () ->
     let started = Unix.gettimeofday () in
-    let strategy = if scan then `Scan else `Auto in
     let winner, stats =
       Dse.Enumerate.exhaustive_best ~max_specs ~domains
-        ~clamp:(not no_clamp) ~prune:(not no_prune) ~strategy ~objective:best
-        ~ces model board
+        ~clamp:(not no_clamp) ~prune:(not no_prune) ~objective:best ~ces
+        model board
     in
     let elapsed = Unix.gettimeofday () -. started in
     Format.printf
-      "%d specs enumerated, %d evaluated, %d pruned (%.1f%%), %d B&B \
-       node(s), %d domain(s), %.2f s (%.0f specs/s)@."
+      "%d specs enumerated, %d evaluated, %d pruned (%.1f%%), %d \
+       domain(s), %.2f s (%.0f specs/s)@."
       stats.Dse.Enumerate.enumerated stats.Dse.Enumerate.evaluated
       stats.Dse.Enumerate.pruned
       (100.0
       *. float_of_int stats.Dse.Enumerate.pruned
       /. float_of_int (max 1 stats.Dse.Enumerate.enumerated))
-      stats.Dse.Enumerate.nodes stats.Dse.Enumerate.domains_used elapsed
+      stats.Dse.Enumerate.domains_used elapsed
       (float_of_int stats.Dse.Enumerate.enumerated
       /. Float.max 1e-9 elapsed);
     match winner with
@@ -701,12 +707,12 @@ let enumerate_cmd =
   Cmd.v
     (Cmd.info "enumerate"
        ~doc:
-         "Search every custom design at a fixed CE count — best-first \
-          branch-and-bound, or a bound-pruned Domains-parallel scan — \
-          and print the best design for an objective.")
+         "Search every custom design at a fixed CE count with a \
+          bound-pruned, Domains-parallel scan and print the best design \
+          for an objective.")
     Term.(
       const run $ obs_args $ model_arg $ board_arg $ ces_arg $ max_specs_arg
-      $ domains_arg $ best_arg $ no_prune_arg $ scan_arg $ no_clamp_arg)
+      $ domains_arg $ best_arg $ no_prune_arg $ no_clamp_arg)
 
 (* ------------------------------------------------------------ serve *)
 

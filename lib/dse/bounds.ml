@@ -325,7 +325,10 @@ let suffix_latency_floor ctx ~first =
 
 (* ------------------------------------------- composed partial bounds *)
 
-(* The conversion chain below — [_ /. clock], [Float.max], [1.0 /. _] —
+(* No search calls these two; they stay for perfbench/, which times
+   them (see the interface).
+
+   The conversion chain below — [_ /. clock], [Float.max], [1.0 /. _] —
    is the exact model's own ([Platform.Board.cycles_to_seconds], the
    block fold in [Mccm.Evaluate]); every op is monotone, so a floor
    cycle count that never exceeds the exact block's yields a bound that
@@ -362,39 +365,10 @@ let partial_latency_bound ctx ~latency_cycles ~sum_sqrt_macs ~first =
 
 (* ---------------------------------------------- whole-spec bounds *)
 
-(* Tail segment [first, last] inclusive, as (first, last) pairs. *)
-let tail_ranges t spec =
-  let n = Cnn.Table.num_layers t.table in
-  let f = spec.Arch.Custom.pipelined_layers in
-  let starts = f :: spec.Arch.Custom.tail_boundaries in
-  let ends =
-    List.map (fun b -> b - 1) spec.Arch.Custom.tail_boundaries @ [ n - 1 ]
-  in
-  List.combine starts ends
-
-let compute_ii_floor_cycles t spec =
-  let ctx = context t ~ces:(Arch.Custom.total_ces spec) in
-  let f = spec.Arch.Custom.pipelined_layers in
-  let worst =
-    List.fold_left
-      (fun acc (first, last) ->
-        Float.max acc (segment_ii_floor ctx ~first ~last))
-      (head_ii_floor ctx ~f) (tail_ranges t spec)
-  in
-  Float.max worst (global_ii_cycles t *. (1.0 -. eps))
-
-let throughput_upper_bound t spec =
-  let cyc = compute_ii_floor_cycles t spec in
-  let ii = Float.max (cyc /. t.clock) t.mem_floor_s in
-  if ii <= 0.0 then infinity else 1.0 /. ii
-
-(* ---------------------------------------------- flat-row bounds *)
-
 (* The scan hot loop reads specs straight out of a [Space.Flat] buffer:
-   same floors, same accumulation order as the list-based bounds above
-   (so the results are bit-identical), but no per-candidate allocation
-   — the row is walked in place and the caller hoists the [ctx] lookup
-   (one mutex round per scan, not per spec). *)
+   the row is walked in place, so a bound costs no allocation, and the
+   caller hoists the [ctx] lookup (one mutex round per scan, not per
+   spec). *)
 
 let compute_ii_floor_cycles_flat ctx buf ~width i =
   let t = ctx.cx_owner in
@@ -454,26 +428,5 @@ let latency_lower_bound_flat ctx buf ~width i =
          (float_of_int (Cnn.Table.macs_range t.table ~first:!first ~last:(n - 1)));
   Float.max
     (Float.max (!compute /. t.clock) (!sq *. !sq /. t.peak))
-    t.mem_floor_s
-  *. (1.0 -. eps)
-
-let latency_lower_bound t spec =
-  let ctx = context t ~ces:(Arch.Custom.total_ces spec) in
-  let f = spec.Arch.Custom.pipelined_layers in
-  let tails = tail_ranges t spec in
-  let compute_cyc =
-    List.fold_left
-      (fun acc (first, last) -> acc +. segment_ii_floor ctx ~first ~last)
-      (head_ii_floor ctx ~f) tails
-  in
-  let sum_sqrt =
-    List.fold_left
-      (fun acc (first, last) ->
-        acc +. sqrt (float_of_int (Cnn.Table.macs_range t.table ~first ~last)))
-      (sqrt (float_of_int (Cnn.Table.macs_range t.table ~first:0 ~last:(f - 1))))
-      tails
-  in
-  Float.max
-    (Float.max (compute_cyc /. t.clock) (sum_sqrt *. sum_sqrt /. t.peak))
     t.mem_floor_s
   *. (1.0 -. eps)

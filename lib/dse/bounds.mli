@@ -27,8 +27,8 @@
     under the default build options (proportional PE allocation; any
     parallelism or buffer mode), each query below is at most (cycles /
     latency) or at least (throughput) the exact evaluated value, so
-    pruning on these bounds never changes a best-first or scanning
-    search's winner.  The [`Balanced] PE-allocation ablation can exceed
+    pruning on these bounds never changes the exhaustive search's
+    winner.  The [`Balanced] PE-allocation ablation can exceed
     an engine's proportional share; bounds are not admissible for it.
     The QCheck2 suite in [test/test_bounds.ml] exercises every clause
     of this contract over random model/board/spec draws. *)
@@ -96,15 +96,23 @@ val suffix_ii_floor : ctx -> first:int -> segments:int -> float
     the largest cap-level layer floor in the suffix, the allocation
     floor of its widest layer, and the means (summed floors, suffix
     MACs) over [segments].  At most [max segment_ii_floor] of every
-    concrete split, which is what makes branch-and-bound nodes
-    prunable before their boundaries are materialised. *)
+    concrete split.  Only {!partial_throughput_bound} and the tests use
+    it; kept with it because [perfbench/] times that bound. *)
 
 val suffix_latency_floor : ctx -> first:int -> float
 (** Lower bound on the {e summed} latency of the tail segments over
     layers [first ..], independent of how many: summed cap-level floors
-    and the (subadditive) allocation floor of the whole suffix. *)
+    and the (subadditive) allocation floor of the whole suffix.  Only
+    {!partial_latency_bound} and the tests use it; kept with it because
+    [perfbench/] times that bound. *)
 
-(** {1 Composed bounds} *)
+(** {1 Composed partial bounds}
+
+    Optimistic scores of every completion of a partial spec.  No search
+    uses them: they are kept because [perfbench/] times them (its traced
+    [dse.bound_us]), and [test/test_bounds.ml] keeps checking the floors
+    they are built from.  Remove them with the next change to the
+    benchmark. *)
 
 val partial_throughput_bound :
   ctx -> worst_cycles:float -> first:int -> segments:int -> float
@@ -116,8 +124,7 @@ val partial_throughput_bound :
     rounding guard (the exact evaluator's per-layer float sums can
     round below an unguarded integer floor), so the bound can exceed
     the exact best completion by at most one part in 1e9 — admissible
-    always, and the searches break exact score ties by enumeration
-    rank. *)
+    always. *)
 
 val partial_latency_bound :
   ctx -> latency_cycles:float -> sum_sqrt_macs:float -> first:int -> float
@@ -128,35 +135,24 @@ val partial_latency_bound :
     MACs lower-bounds any split's contribution), and the memory floor,
     with a [1 - 1e-9] rounding slack. *)
 
-val compute_ii_floor_cycles : t -> Arch.Custom.spec -> float
-(** The compute side of a whole spec's interval floor, in cycles: max
-    of head/segment floors and {!global_ii_cycles}.  Divided by
-    {!clock_hz}, lower-bounds the exact [Mccm.Evaluate] [ii_compute_s]
-    — the bound-vs-exact hook the property suite checks. *)
+(** {1 Whole-spec bounds}
 
-val throughput_upper_bound : t -> Arch.Custom.spec -> float
-(** Admissible (never below any achievable value) throughput bound for
-    a complete spec, images/s. *)
-
-val latency_lower_bound : t -> Arch.Custom.spec -> float
-(** Admissible (never above any achievable value) latency bound for a
-    complete spec, seconds. *)
-
-(** {1 Flat-row bounds}
-
-    The same whole-spec bounds evaluated straight off a
-    {!Space.Flat.buf} row: identical floors in identical accumulation
-    order, so for a row encoding spec [p] under the ctx for [p]'s CE
-    count they return bit-for-bit the values of
-    {!throughput_upper_bound} / {!latency_lower_bound} / {!compute_ii_floor_cycles}
-    — but with no per-candidate allocation and the [ctx] lookup
-    hoisted out of the scan loop (pass [context t ~ces] once). *)
+    Each reads the spec in row [i] of a {!Space.Flat.buf} of [width]
+    slots in place, with no allocation, under the [ctx] for the spec's
+    CE count (pass [context t ~ces] once per scan). *)
 
 val compute_ii_floor_cycles_flat :
   ctx -> Space.Flat.buf -> width:int -> int -> float
+(** The compute side of the spec's interval floor, in cycles: max of
+    the head and segment floors and {!global_ii_cycles}.  Divided by
+    {!clock_hz}, lower-bounds the exact [Mccm.Evaluate] [ii_compute_s]. *)
 
 val throughput_upper_bound_flat :
   ctx -> Space.Flat.buf -> width:int -> int -> float
+(** Admissible (never below any achievable value) throughput bound,
+    images/s. *)
 
 val latency_lower_bound_flat :
   ctx -> Space.Flat.buf -> width:int -> int -> float
+(** Admissible (never above any achievable value) latency bound,
+    seconds. *)

@@ -1,4 +1,4 @@
-(* Exhaustive enumeration, best-first branch-and-bound, and
+(* Exhaustive enumeration, the bound-pruned exhaustive search, and
    hill-climbing over custom specs. *)
 
 let h_neighbourhood = Mccm_obs.Metric.histogram "dse.neighbourhood_size"
@@ -6,8 +6,6 @@ let c_steps = Mccm_obs.Metric.counter "dse.local_search.steps"
 let c_exhaustive = Mccm_obs.Metric.counter "dse.exhaustive.specs"
 let c_evaluated = Mccm_obs.Metric.counter "dse.exhaustive.evaluated"
 let c_pruned = Mccm_obs.Metric.counter "dse.exhaustive.pruned"
-let c_nodes = Mccm_obs.Metric.counter "dse.bnb.nodes"
-let c_ls_pruned = Mccm_obs.Metric.counter "dse.local_search.pruned"
 let g_best_objective = Mccm_obs.Metric.gauge "dse.best_objective"
 
 let enumerate_specs ~num_layers ~ces ~max_specs =
@@ -45,14 +43,6 @@ let session_or_fresh ~fn session model board =
     Mccm.Eval_session.check ~fn s model board;
     s
   | None -> Mccm.Eval_session.create model board
-
-(* The admissible bound machinery lives in {!Bounds}; these aliases
-   keep the historical entry points (and their callers) intact. *)
-type bounds = Bounds.t
-
-let bounds table board = Bounds.create table board
-let throughput_upper_bound = Bounds.throughput_upper_bound
-let latency_lower_bound = Bounds.latency_lower_bound
 
 (* Sequential warm-up for a crew: run a small strided sample of the
    spec rows through the parent session so its plan/segment tables are
@@ -101,8 +91,6 @@ let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
 
 type objective = [ `Throughput | `Latency ]
 
-type strategy = [ `Auto | `Best_first | `Scan ]
-
 type search_stats = {
   enumerated : int;
   evaluated : int;
@@ -111,232 +99,22 @@ type search_stats = {
   domains_used : int;
 }
 
-let sat_add a b = if a > max_int - b then max_int else a + b
-
-(* A branch-and-bound node: a partial spec with pipelined depth [nb_f]
-   and fixed tail boundaries [nb_rev] (reversed), leaving layers
-   [nb_next ..] to be split into [nb_segments] more segments.  Its
-   complete specs form a contiguous run of the lexicographic
-   enumeration order starting at index [nb_rank]; [nb_count] is how
-   many of them fall under the spec cap.  The running aggregates carry
-   the fixed blocks' floors so a child's bound costs O(1). *)
-type bnb_node = {
-  nb_bound : float;     (* optimistic objective score of the subtree *)
-  nb_rank : int;
-  nb_count : int;
-  nb_f : int;
-  nb_rev : int list;
-  nb_next : int;
-  nb_segments : int;
-  nb_worst : float;     (* max fixed-block interval floor, cycles *)
-  nb_lat : float;       (* summed fixed-block floors, cycles *)
-  nb_sq : float;        (* summed sqrt(block MACs) *)
-}
-
-(* Sequential best-first branch-and-bound.  The frontier is a max-heap
-   on the node bound (ties: earliest lexicographic rank), so promising
-   regions are refined first and the incumbent climbs fast; a popped
-   node that cannot beat the incumbent — strictly below it, or exactly
-   at it with only later-rank (tie-losing) specs — kills its whole
-   subtree and, because the heap pops bounds in nonincreasing order,
-   everything still queued behind it.  That discipline plus the rank
-   tie-break on acceptance reproduces the unpruned sequential scan's
-   winner bit-for-bit: the lexicographically first spec attaining the
-   best score. *)
-let best_first ~max_specs ~session ~table ~prune ~score ~objective ~ces model
-    board =
-  let n = Cnn.Model.num_layers model in
-  let b = Bounds.create table board in
-  let ctx = Bounds.context b ~ces in
-  let space =
-    let total = ref 0 in
-    for f = 1 to min (ces - 1) (n - 1) do
-      let s = ces - f in
-      if n - f >= s then
-        total :=
-          sat_add !total (Space.completions ~num_layers:n ~first:f ~segments:s)
-    done;
-    !total
+(* A chunked scan over the flat spec rows.  [strategy] is ignored; see
+   the interface. *)
+let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
+    ?(prune = true) ?strategy:_ ~objective ~ces model board =
+  Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
+  let session =
+    session_or_fresh ~fn:"Enumerate.exhaustive_best" session model board
   in
-  let cap_total = min space max_specs in
-  Mccm_obs.Metric.add c_exhaustive cap_total;
-  let node_bound ~worst ~lat ~sq ~first ~segments =
-    match objective with
-    | `Throughput ->
-      Bounds.partial_throughput_bound ctx ~worst_cycles:worst ~first ~segments
-    | `Latency ->
-      -.Bounds.partial_latency_bound ctx ~latency_cycles:lat ~sum_sqrt_macs:sq
-          ~first
+  let table = Option.get (Mccm.Eval_session.table session) in
+  let score m =
+    if not m.Mccm.Metrics.feasible then neg_infinity
+    else
+      match objective with
+      | `Throughput -> m.Mccm.Metrics.throughput_ips
+      | `Latency -> -.m.Mccm.Metrics.latency_s
   in
-  let heap =
-    Util.Heap.create ~cmp:(fun a b ->
-        match Float.compare b.nb_bound a.nb_bound with
-        | 0 -> compare a.nb_rank b.nb_rank
-        | c -> c)
-  in
-  let best = ref None in
-  let evaluated = ref 0 and pruned = ref 0 and nodes = ref 0 in
-  let cur () = match !best with Some (_, s, _) -> s | None -> neg_infinity in
-  (* A subtree is dead when it cannot beat the incumbent even on the
-     tie-break: its bound is strictly below, or exactly at the
-     incumbent score with every rank in the subtree after the
-     incumbent's (an equal-score leaf there loses the earlier-rank
-     tie).  Admissible bounds make both cases exact, so pruning never
-     changes the winner. *)
-  let dead node =
-    match !best with
-    | None -> false
-    | Some (_, s, r) ->
-      node.nb_bound < s || (node.nb_bound = s && node.nb_rank > r)
-  in
-  let consider node =
-    if prune && dead node then pruned := !pruned + node.nb_count
-    else Util.Heap.push heap node
-  in
-  let rank = ref 0 in
-  for f = 1 to min (ces - 1) (n - 1) do
-    let s = ces - f in
-    if n - f >= s then begin
-      let raw = Space.completions ~num_layers:n ~first:f ~segments:s in
-      let count =
-        if !rank >= cap_total then 0 else min raw (cap_total - !rank)
-      in
-      if count > 0 then begin
-        let hf = Bounds.head_ii_floor ctx ~f in
-        let sq =
-          sqrt (float_of_int (Cnn.Table.macs_range table ~first:0 ~last:(f - 1)))
-        in
-        consider
-          {
-            nb_bound = node_bound ~worst:hf ~lat:hf ~sq ~first:f ~segments:s;
-            nb_rank = !rank;
-            nb_count = count;
-            nb_f = f;
-            nb_rev = [];
-            nb_next = f;
-            nb_segments = s;
-            nb_worst = hf;
-            nb_lat = hf;
-            nb_sq = sq;
-          }
-      end;
-      rank := sat_add !rank raw
-    end
-  done;
-  let expand node =
-    let r = node.nb_next and m = node.nb_segments in
-    let child_rank = ref node.nb_rank in
-    (* Children in boundary order keep ranks equal to enumeration
-       indices; later siblings only have larger ranks, so the cap cuts
-       a suffix of them. *)
-    (try
-       for bnd = r + 1 to n - m + 1 do
-         if !child_rank >= cap_total then raise Exit;
-         let raw =
-           Space.completions ~num_layers:n ~first:bnd ~segments:(m - 1)
-         in
-         let count = min raw (cap_total - !child_rank) in
-         if count > 0 then begin
-           let sf = Bounds.segment_ii_floor ctx ~first:r ~last:(bnd - 1) in
-           let worst = Float.max node.nb_worst sf in
-           let lat = node.nb_lat +. sf in
-           let sq =
-             node.nb_sq
-             +. sqrt
-                  (float_of_int
-                     (Cnn.Table.macs_range table ~first:r ~last:(bnd - 1)))
-           in
-           consider
-             {
-               nb_bound =
-                 node_bound ~worst ~lat ~sq ~first:bnd ~segments:(m - 1);
-               nb_rank = !child_rank;
-               nb_count = count;
-               nb_f = node.nb_f;
-               nb_rev = bnd :: node.nb_rev;
-               nb_next = bnd;
-               nb_segments = m - 1;
-               nb_worst = worst;
-               nb_lat = lat;
-               nb_sq = sq;
-             }
-         end;
-         child_rank := sat_add !child_rank raw
-       done
-     with Exit -> ())
-  in
-  let rec drain () =
-    match Util.Heap.pop heap with
-    | None -> ()
-    | Some node ->
-      incr nodes;
-      if prune && dead node then begin
-        (* The heap pops bounds in nonincreasing order (rank-ascending
-           within a bound): every queued subtree is either strictly
-           below the incumbent or an equal-bound later-rank tie loser.
-           Flush and finish. *)
-        pruned := !pruned + node.nb_count;
-        let rec flush () =
-          match Util.Heap.pop heap with
-          | None -> ()
-          | Some nd ->
-            pruned := !pruned + nd.nb_count;
-            flush ()
-        in
-        flush ()
-      end
-      else begin
-        (if node.nb_segments = 1 then begin
-           (* The last segment is forced: the node IS a complete spec. *)
-           incr evaluated;
-           let spec =
-             {
-               Arch.Custom.pipelined_layers = node.nb_f;
-               tail_boundaries = List.rev node.nb_rev;
-             }
-           in
-           let m =
-             Mccm.Eval_session.metrics ~store_arch:false session
-               (Arch.Custom.arch_of_spec model spec)
-           in
-           let s = score m in
-           let c = cur () in
-           let better =
-             s > c
-             || s = c && s > neg_infinity
-                &&
-                match !best with
-                | Some (_, _, r) -> node.nb_rank < r
-                | None -> false
-           in
-           if better then
-             best := Some ({ Explore.spec; metrics = m }, s, node.nb_rank)
-         end
-         else expand node);
-        drain ()
-      end
-  in
-  drain ();
-  Mccm_obs.Metric.add c_evaluated !evaluated;
-  Mccm_obs.Metric.add c_pruned !pruned;
-  Mccm_obs.Metric.add c_nodes !nodes;
-  (match !best with
-  | Some (_, s, _) when s > neg_infinity ->
-    Mccm_obs.Metric.update_max g_best_objective s
-  | _ -> ());
-  ( Option.map (fun (e, _, _) -> e) !best,
-    {
-      enumerated = cap_total;
-      evaluated = !evaluated;
-      pruned = !pruned;
-      nodes = !nodes;
-      domains_used = 1;
-    } )
-
-(* Chunked scan over the flat spec rows (the multi-domain path, and
-   the pruning-off reference). *)
-let scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
-    ~objective ~ces model board =
   let width = Space.Flat.width ~ces in
   let buf =
     Space.Flat.enumerate ~num_layers:(Cnn.Model.num_layers model) ~ces
@@ -416,33 +194,6 @@ let scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
     { enumerated = n; evaluated; pruned; nodes = 0; domains_used = !crew_size }
   )
 
-let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
-    ?(prune = true) ?(strategy = `Auto) ~objective ~ces model board =
-  Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
-  let session =
-    session_or_fresh ~fn:"Enumerate.exhaustive_best" session model board
-  in
-  let table = Option.get (Mccm.Eval_session.table session) in
-  let score m =
-    if not m.Mccm.Metrics.feasible then neg_infinity
-    else
-      match objective with
-      | `Throughput -> m.Mccm.Metrics.throughput_ips
-      | `Latency -> -.m.Mccm.Metrics.latency_s
-  in
-  let use_best_first =
-    match strategy with
-    | `Best_first -> true
-    | `Scan -> false
-    | `Auto -> prune && domains = 1 && Option.is_none pool
-  in
-  if use_best_first then
-    best_first ~max_specs ~session ~table ~prune ~score ~objective ~ces model
-      board
-  else
-    scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
-      ~objective ~ces model board
-
 type step = {
   moved : string;
   spec : Arch.Custom.spec;
@@ -512,7 +263,7 @@ let neighbours ~num_layers (spec : Arch.Custom.spec) =
     @ merge_each)
 
 let local_search ~objective ?(max_steps = 25) ?session ?(domains = 1) ?clamp
-    ?pool ?bound model board seed =
+    ?pool model board seed =
   Mccm_obs.span ~cat:"dse" "dse.local_search" @@ fun () ->
   let num_layers = Cnn.Model.num_layers model in
   let session =
@@ -560,22 +311,7 @@ let local_search ~objective ?(max_steps = 25) ?session ?(domains = 1) ?clamp
       Mccm_obs.Metric.incr c_steps;
       Mccm_obs.Metric.observe h_neighbourhood
         (float_of_int (List.length neigh));
-      (* A neighbour is accepted only on a strict improvement over
-         [current], so one whose admissible score bound cannot exceed
-         [current] is skipped without evaluation — the selection below
-         would have dropped it anyway. *)
-      let cands =
-        match bound with
-        | None -> Array.of_list neigh
-        | Some b ->
-          let kept =
-            List.filter (fun (_, c) -> not (b c <= current)) neigh
-          in
-          Mccm_obs.Metric.add c_ls_pruned
-            (List.length neigh - List.length kept);
-          Array.of_list kept
-      in
-      let evaluated = eval_all cands in
+      let evaluated = eval_all (Array.of_list neigh) in
       let best =
         List.fold_left
           (fun acc (moved, candidate, m) ->

@@ -43,40 +43,15 @@ val exhaustive :
 
 type objective = [ `Throughput | `Latency ]
 
-type strategy = [ `Auto | `Best_first | `Scan ]
-(** How {!exhaustive_best} walks the space.  [`Scan] materialises the
-    spec list and scans it in deterministic contiguous chunks (the only
-    strategy that uses [domains]).  [`Best_first] runs the sequential
-    branch-and-bound: partial specs ordered by their composed optimistic
-    bound ({!Bounds.partial_throughput_bound} /
-    {!Bounds.partial_latency_bound}), so hopeless subtrees die before
-    their specs are ever materialised.  [`Auto] (the default) picks
-    [`Best_first] when pruning is on and a single domain was requested,
-    [`Scan] otherwise.  All strategies return the same winner. *)
-
 type search_stats = {
   enumerated : int;      (** specs in scope (after [max_specs]) *)
   evaluated : int;       (** specs actually run through the model *)
   pruned : int;          (** specs skipped by the admissible bound *)
-  nodes : int;           (** branch-and-bound nodes popped (0 for scans) *)
+  nodes : int;
+      (** always 0.  Kept because [perfbench/] reads it; remove it with
+          the next change to the benchmark. *)
   domains_used : int;
 }
-
-type bounds = Bounds.t
-(** Precomputed bound context for one (model table, board) pair — see
-    {!Bounds}.  Kept as an alias (with the constructors below) for the
-    callers of the pre-[Bounds] API. *)
-
-val bounds : Cnn.Table.t -> Platform.Board.t -> bounds
-(** [Bounds.create]. *)
-
-val throughput_upper_bound : bounds -> Arch.Custom.spec -> float
-(** [Bounds.throughput_upper_bound]: admissible (never below any
-    achievable value) throughput bound for a custom spec, images/s. *)
-
-val latency_lower_bound : bounds -> Arch.Custom.spec -> float
-(** [Bounds.latency_lower_bound]: admissible (never above any
-    achievable value) latency bound, seconds. *)
 
 val exhaustive_best :
   ?max_specs:int ->
@@ -85,7 +60,7 @@ val exhaustive_best :
   ?clamp:bool ->
   ?pool:Util.Parallel.Pool.t ->
   ?prune:bool ->
-  ?strategy:strategy ->
+  ?strategy:[ `Scan ] ->
   objective:objective ->
   ces:int ->
   Cnn.Model.t ->
@@ -93,18 +68,21 @@ val exhaustive_best :
   Explore.evaluated option * search_stats
 (** [exhaustive_best ~objective ~ces model board] returns the first
     feasible spec (in enumeration order) attaining the best objective —
-    highest throughput or lowest latency — plus search statistics.
-    [prune] (default true) skips specs (and, under [`Best_first], whole
-    subtrees of partial specs) whose admissible bound cannot strictly
-    beat the running incumbent; because the bounds are admissible and
-    acceptance requires strict improvement (ties broken towards the
-    earlier enumeration rank), the returned design is bit-identical
-    across [prune], [strategy], [domains] and [pool] choices.  The
-    [`Scan] path enumerates into a {!Space.Flat} buffer, prunes with
-    the allocation-free flat bounds (ctx hoisted out of the loop) and
-    decodes only surviving rows; with [pool] it runs on the caller's
-    persistent domain pool ([`Auto] then picks [`Scan]).  The bounds
-    read [session]'s {!Cnn.Table}.
+    highest throughput or lowest latency — plus search statistics.  It
+    enumerates the specs into a {!Space.Flat} buffer and scans it in
+    deterministic contiguous chunks, one per {!Crew} worker.  [prune]
+    (default true) skips a spec whose admissible bound
+    ({!Bounds.throughput_upper_bound_flat} /
+    {!Bounds.latency_lower_bound_flat}, read off the row in place)
+    cannot strictly beat the chunk's running incumbent, and decodes only
+    the rows that survive.  Because the bounds are admissible and
+    acceptance requires strict improvement (ties go to the earlier
+    enumeration rank, and chunk winners merge in chunk order), the
+    returned design is bit-identical across [prune], [domains] and
+    [pool].  [domains], [clamp] and [pool] are as for {!exhaustive}.
+    The bounds read [session]'s {!Cnn.Table}.  [strategy] is ignored:
+    it is kept because [perfbench/] passes it; remove it with the next
+    change to the benchmark.
     @raise Invalid_argument if [session] is bound to a different model
     or board. *)
 
@@ -129,7 +107,6 @@ val local_search :
   ?domains:int ->
   ?clamp:bool ->
   ?pool:Util.Parallel.Pool.t ->
-  ?bound:(Arch.Custom.spec -> float) ->
   Cnn.Model.t ->
   Platform.Board.t ->
   Arch.Custom.spec ->
@@ -145,9 +122,6 @@ val local_search :
     evaluates each step's neighbourhood on one {!Crew} kept for the
     whole climb — domains spawn and sessions fork once per search, not
     once per step; [pool] reuses a caller-owned domain pool across
-    searches.  [bound] (an admissible upper bound on the objective's
-    score, e.g. {!throughput_upper_bound} partially applied) skips
-    neighbours that cannot strictly beat the current spec.  None of
-    these change the trajectory.
+    searches.  None of these change the trajectory.
     @raise Invalid_argument if [session] is bound to a different model
     or board. *)

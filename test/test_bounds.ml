@@ -55,6 +55,16 @@ let exact c =
 let bounds_of c =
   Dse.Bounds.create (Cnn.Table.of_model c.model) c.cboard
 
+(* The whole-spec bounds read specs off Dse.Space.Flat rows: encode
+   the case's spec as the one row of a buffer and apply [bound] to it
+   under the context for its CE count. *)
+let flat_bound bound t spec =
+  let ces = Arch.Custom.total_ces spec in
+  let width = Dse.Space.Flat.width ~ces in
+  let buf = Dse.Space.Flat.create ~width 1 in
+  Dse.Space.Flat.encode buf ~width ~at:0 spec;
+  bound (Dse.Bounds.context t ~ces) buf ~width 0
+
 (* Head range [0, f) and tail segments of a spec as (first, last)
    pairs, mirroring the evaluator's block order. *)
 let tail_ranges ~num_layers spec =
@@ -76,14 +86,18 @@ let run_prop ?(count = 60) name gen prop =
    throughput (admissible upper bound). *)
 let prop_throughput_ub c =
   let e = exact c in
-  let ub = Dse.Bounds.throughput_upper_bound (bounds_of c) c.spec in
+  let ub =
+    flat_bound Dse.Bounds.throughput_upper_bound_flat (bounds_of c) c.spec
+  in
   ub >= e.Mccm.Evaluate.metrics.Mccm.Metrics.throughput_ips
 
 (* 2. The whole-spec latency bound never exceeds the exact latency
    (admissible lower bound). *)
 let prop_latency_lb c =
   let e = exact c in
-  let lb = Dse.Bounds.latency_lower_bound (bounds_of c) c.spec in
+  let lb =
+    flat_bound Dse.Bounds.latency_lower_bound_flat (bounds_of c) c.spec
+  in
   lb <= e.Mccm.Evaluate.metrics.Mccm.Metrics.latency_s
 
 (* 3. The split floors bound the exact interval's two sides separately:
@@ -91,7 +105,8 @@ let prop_latency_lb c =
 let prop_split_floors c =
   let e = exact c in
   let t = bounds_of c in
-  Dse.Bounds.compute_ii_floor_cycles t c.spec /. Dse.Bounds.clock_hz t
+  flat_bound Dse.Bounds.compute_ii_floor_cycles_flat t c.spec
+  /. Dse.Bounds.clock_hz t
   <= e.Mccm.Evaluate.ii_compute_s
   && Dse.Bounds.mem_floor_s t <= e.Mccm.Evaluate.ii_memory_s
 

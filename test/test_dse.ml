@@ -378,25 +378,6 @@ let prop_flat_eval_bit_identical =
       = Mccm.Evaluate.metrics mobv2 Platform.Board.vcu110
           (Arch.Custom.arch_of_spec mobv2 spec))
 
-let prop_flat_bounds_bit_identical =
-  let table = Cnn.Table.of_model mobv2 in
-  let b = Dse.Bounds.create table Platform.Board.vcu110 in
-  QCheck2.Test.make
-    ~name:"flat bounds equal list bounds bit-for-bit" ~count:200
-    (Generators.custom_spec ~num_layers:(Cnn.Model.num_layers mobv2))
-    (fun spec ->
-      let ces = Arch.Custom.total_ces spec in
-      let width = Dse.Space.Flat.width ~ces in
-      let buf = Dse.Space.Flat.create ~width 1 in
-      Dse.Space.Flat.encode buf ~width ~at:0 spec;
-      let ctx = Dse.Bounds.context b ~ces in
-      Dse.Bounds.throughput_upper_bound_flat ctx buf ~width 0
-      = Dse.Bounds.throughput_upper_bound b spec
-      && Dse.Bounds.latency_lower_bound_flat ctx buf ~width 0
-         = Dse.Bounds.latency_lower_bound b spec
-      && Dse.Bounds.compute_ii_floor_cycles_flat ctx buf ~width 0
-         = Dse.Bounds.compute_ii_floor_cycles b spec)
-
 (* The flat enumerator must reproduce [Enumerate.enumerate_specs]
    exactly: same specs, same lexicographic order, same cap handling. *)
 let test_flat_enumerate_matches_list () =
@@ -454,7 +435,6 @@ let properties =
       prop_pareto_complete;
       prop_flat_roundtrip;
       prop_flat_eval_bit_identical;
-      prop_flat_bounds_bit_identical;
     ]
 
 let () =

@@ -279,6 +279,51 @@ let test_extremes_multiple_ce_utilization () =
   | Some s, Some m -> checkb "multiple-CE utilization higher" true (m > s)
   | _ -> Alcotest.fail "missing rows"
 
+(* ------------------------------------------------------- CLI usage *)
+
+(* Under `dune runtest` the cwd is _build/default/test; under
+   `dune exec` it is the workspace root. *)
+let cli =
+  List.find_opt Sys.file_exists
+    [
+      Filename.concat ".." (Filename.concat "bin" "mccm_cli.exe");
+      "_build/default/bin/mccm_cli.exe";
+    ]
+
+(* Exit status of the CLI on [args], its output discarded. *)
+let cli_status args =
+  match cli with
+  | None -> Alcotest.fail "mccm_cli.exe is not built"
+  | Some exe -> (
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () ->
+          Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null
+            null)
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code -> code
+    | _ -> Alcotest.fail "mccm_cli.exe was killed by a signal")
+
+(* Counts below the daemon's floors are usage errors (cmdliner's exit
+   124) caught while the arguments are parsed, not exceptions out of
+   the library (exit 125); the floors themselves are accepted. *)
+let test_cli_count_floors () =
+  List.iter
+    (fun (expected, args) ->
+      check (String.concat " " args) expected (cli_status args))
+    [
+      (124, [ "enumerate"; "-m"; "MobV2"; "-b"; "VCU108"; "-c"; "1" ]);
+      (124, [ "enumerate"; "-m"; "MobV2"; "-b"; "VCU108"; "--max-specs=-5" ]);
+      (124, [ "explore"; "-m"; "MobV2"; "-b"; "VCU108"; "-n"; "0" ]);
+      ( 0,
+        [ "enumerate"; "-m"; "MobV2"; "-b"; "VCU108"; "-c"; "2";
+          "--max-specs"; "1" ] );
+      (0, [ "explore"; "-m"; "MobV2"; "-b"; "VCU108"; "-n"; "1" ]);
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -304,5 +349,10 @@ let () =
           Alcotest.test_case "fig7" `Quick test_fig7_shape;
           Alcotest.test_case "fig9" `Quick test_fig9_shape;
           Alcotest.test_case "fig10" `Slow test_fig10_shape;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "count flags reject values below their floor"
+            `Quick test_cli_count_floors;
         ] );
     ]

@@ -296,13 +296,18 @@ let test_exhaustive_best_agrees_with_exhaustive () =
 
 let prop_bounds_admissible =
   let table = Cnn.Table.of_model mobv2 in
-  let b = Dse.Enumerate.bounds table board in
+  let b = Dse.Bounds.create table board in
   let session = Mccm.Eval_session.create mobv2 board in
   QCheck2.Test.make ~name:"bounds are admissible on random specs" ~count:60
     (Generators.custom_spec ~num_layers:(Cnn.Model.num_layers mobv2))
     (fun spec ->
-      let ub = Dse.Enumerate.throughput_upper_bound b spec in
-      let lb = Dse.Enumerate.latency_lower_bound b spec in
+      let ces = Arch.Custom.total_ces spec in
+      let width = Dse.Space.Flat.width ~ces in
+      let buf = Dse.Space.Flat.create ~width 1 in
+      Dse.Space.Flat.encode buf ~width ~at:0 spec;
+      let ctx = Dse.Bounds.context b ~ces in
+      let ub = Dse.Bounds.throughput_upper_bound_flat ctx buf ~width 0 in
+      let lb = Dse.Bounds.latency_lower_bound_flat ctx buf ~width 0 in
       let m =
         Mccm.Eval_session.metrics session (Arch.Custom.arch_of_spec mobv2 spec)
       in
