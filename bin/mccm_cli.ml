@@ -84,8 +84,17 @@ let int_at_least lo =
   Arg.conv (parse, Format.pp_print_int)
 
 (* Architecture strings resolve through Arch.Shorthand: baseline names
-   or the paper's block notation. *)
-let arch_of_string model s = Arch.Shorthand.parse model s
+   or the paper's block notation.  Every CE needs at least one DSP, so
+   an architecture with more CEs than the board has DSPs is an input
+   error here, not an exception out of the builder. *)
+let arch_of_string model (board : Platform.Board.t) s =
+  match Arch.Shorthand.parse model s with
+  | Ok archi when Arch.Block.total_ces archi > board.Platform.Board.dsps ->
+    Error
+      (Printf.sprintf "%d CEs exceed the %d-DSP budget of %s"
+         (Arch.Block.total_ces archi) board.Platform.Board.dsps
+         board.Platform.Board.name)
+  | r -> r
 
 (* --------------------------------------------------- observability *)
 
@@ -183,7 +192,7 @@ let eval_cmd =
   in
   let run obs model board arch_str verbose =
     with_obs "eval" obs @@ fun () ->
-    match arch_of_string model arch_str with
+    match arch_of_string model board arch_str with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       1
@@ -409,7 +418,7 @@ let layers_cmd =
   in
   let run obs model board arch_str top =
     with_obs "layers" obs @@ fun () ->
-    match arch_of_string model arch_str with
+    match arch_of_string model board arch_str with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       1
@@ -453,7 +462,7 @@ let trace_cmd =
       & info [ "width" ] ~docv:"COLS" ~doc:"Timeline width in characters.")
   in
   let run model board arch_str block width =
-    match arch_of_string model arch_str with
+    match arch_of_string model board arch_str with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       1
@@ -516,7 +525,7 @@ let compress_cmd =
   in
   let run obs model board arch_str ratio =
     with_obs "compress" obs @@ fun () ->
-    match arch_of_string model arch_str with
+    match arch_of_string model board arch_str with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       1
@@ -1084,9 +1093,6 @@ let top_cmd =
         | Some (Json.Bool b) -> b
         | _ -> false
       in
-      let gauge name =
-        Option.bind snap (fun s -> List.assoc_opt name s.Metric.gauges)
-      in
       line "mccm top — %s · %s · up %.0f s · %d workers%s" socket version
         (Option.value ~default:0.0 (number "uptime_s" reply))
         (int_of_float (Option.value ~default:0.0 (number "workers" reply)))
@@ -1095,7 +1101,7 @@ let top_cmd =
         (int_of_float (Option.value ~default:0.0 (number "queue_depth" reply)))
         (int_of_float
            (Option.value ~default:0.0 (number "queue_capacity" reply)))
-        (match gauge "serve.queue.peak" with
+        (match number "queue_peak" reply with
         | Some p -> Printf.sprintf "%.0f" p
         | None -> "-")
         (int_of_float (Option.value ~default:0.0 (number "sessions" reply)))

@@ -138,8 +138,6 @@ let evaluate ?(store_arch = true) t archi =
 
 let metrics ?store_arch t archi = (evaluate ?store_arch t archi).Evaluate.metrics
 
-let metrics_batch ?store_arch t archis = List.map (metrics ?store_arch t) archis
-
 let fork t =
   {
     t with

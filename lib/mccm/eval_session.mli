@@ -68,15 +68,6 @@ val evaluate : ?store_arch:bool -> t -> Arch.Block.arch -> Evaluate.t
 val metrics : ?store_arch:bool -> t -> Arch.Block.arch -> Metrics.t
 (** [(evaluate t archi).metrics]. *)
 
-val metrics_batch :
-  ?store_arch:bool -> t -> Arch.Block.arch list -> Metrics.t list
-(** [metrics_batch t archis] evaluates the candidates in order within
-    one session, so later candidates reuse everything earlier ones
-    computed.  Equivalent to [List.map (metrics t) archis].
-    [store_arch] as in {!evaluate} — the serving daemon batches
-    one-shot requests with [~store_arch:false] to keep its footprint
-    flat. *)
-
 val fork : t -> t
 (** Snapshot for another domain: same (model, board, options), copied
     tables, zeroed counters (so a later {!absorb} adds only the fork's

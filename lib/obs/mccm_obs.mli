@@ -22,11 +22,11 @@
     [serve.<op>] per-request spans in the daemon's workers (serve, with
     a [rid] arg carrying the request id); [mccm.<subcommand>] CLI roots
     (cli).  Metric names mirror the subsystem: [session.*], [seg.*],
-    [plan.*], [build.*], [dse.*], [validate.*], [serve.*]
-    (work-request/reply/rejection counters,
-    [serve.queue.depth]/[serve.queue.peak] gauges and per-endpoint
-    [serve.<op>.latency] histograms from the evaluation daemon), and a
-    ["span.<name>"] duration histogram per span.
+    [plan.*], [build.*], [dse.*], [validate.*], the evaluation
+    daemon's per-endpoint [serve.<op>.latency] histograms (its
+    request-lifecycle counts live in its own always-on ledger,
+    [Serve.Daemon.counters], not here), and a ["span.<name>"]
+    duration histogram per span.
 
     Beyond spans and metrics the library carries two telemetry planes
     for the serving stack: {!Flight}, a per-domain ring buffer of

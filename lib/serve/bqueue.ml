@@ -7,6 +7,7 @@ type 'a t = {
   m : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
+  mutable peak : int; (* high-water mark of [Queue.length q] *)
 }
 
 let create ~capacity =
@@ -17,6 +18,7 @@ let create ~capacity =
     m = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
+    peak = 0;
   }
 
 let with_lock t f =
@@ -34,6 +36,7 @@ let try_push t v =
       if t.closed || Queue.length t.q >= t.capacity then false
       else begin
         Queue.push v t.q;
+        t.peak <- max t.peak (Queue.length t.q);
         Condition.signal t.nonempty;
         true
       end)
@@ -63,3 +66,4 @@ let close t =
 
 let closed t = with_lock t (fun () -> t.closed)
 let length t = with_lock t (fun () -> Queue.length t.q)
+let peak t = with_lock t (fun () -> t.peak)

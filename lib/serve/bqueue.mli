@@ -31,3 +31,7 @@ val close : 'a t -> unit
 
 val closed : 'a t -> bool
 val length : 'a t -> int
+
+val peak : 'a t -> int
+(** The most items the queue has ever held at once (its high-water
+    mark, recorded on every successful {!try_push}). *)

@@ -9,7 +9,7 @@
      work, each evaluating on warm per-worker {!Mccm.Eval_session}
      forks (the {!Dse.Crew} discipline: fork once per worker, absorb
      at drain) and batching consecutive compatible evaluate requests
-     through [metrics_batch];
+     onto one fork, each request under its own error handler;
    - graceful drain: a stop request (signal, [shutdown] op, or
      {!stop}) flips one atomic; the accept loop stops accepting and
      closes the queue, workers finish everything already queued, and
@@ -19,22 +19,6 @@ module Json = Util.Json
 module Metric = Mccm_obs.Metric
 
 (* ------------------------------------------------------ obs handles *)
-
-let m_requests = Metric.counter "serve.requests"
-let m_replies = Metric.counter "serve.replies"
-let m_overloaded = Metric.counter "serve.rejected.overloaded"
-let m_deadline = Metric.counter "serve.rejected.deadline"
-let m_errors = Metric.counter "serve.errors"
-let m_batches = Metric.counter "serve.batches"
-let m_cache_hits = Metric.counter "serve.cache.hits"
-let m_cache_misses = Metric.counter "serve.cache.misses"
-let m_cache_coalesced = Metric.counter "serve.cache.coalesced"
-let m_cache_evictions = Metric.counter "serve.cache.evictions"
-let m_registry_full = Metric.counter "serve.registry.full"
-let g_cache_size = Metric.gauge "serve.cache.size"
-let g_cache_capacity = Metric.gauge "serve.cache.capacity"
-let g_queue_depth = Metric.gauge "serve.queue.depth"
-let g_queue_peak = Metric.gauge "serve.queue.peak"
 
 let latency_hist =
   (* One duration histogram per endpoint, pre-registered so the worker
@@ -248,6 +232,7 @@ let now_ns () = Mccm_obs.Clock.now_ns ()
 let stop t = Atomic.set t.stop_flag true
 let stopping t = Atomic.get t.stop_flag
 let queue_depth t = Bqueue.length t.queue
+let queue_peak t = Bqueue.peak t.queue
 let counters t = counters_alist t.c
 let config t = t.cfg
 
@@ -290,7 +275,6 @@ let create cfg =
     invalid_arg "Daemon.create: batch_limit must be >= 1";
   if cfg.cache_capacity < 0 then
     invalid_arg "Daemon.create: cache_capacity must be >= 0";
-  Metric.set g_cache_capacity (float_of_int cfg.cache_capacity);
   (* The flight recorder is process-global (like the Metric registry);
      the daemon arms it at creation so `recent` works out of the box. *)
   if cfg.flight_capacity > 0 then begin
@@ -586,7 +570,6 @@ let worker_fork t forks ~key ~model ~board =
          misconfiguration shows up in stats/top instead of only as
          mysteriously slow evaluates. *)
       incr t.c.registry_full;
-      Metric.incr m_registry_full;
       None
     | Some fork ->
       Hashtbl.add forks key fork;
@@ -605,70 +588,62 @@ let absorb_forks t forks =
 
 (* ------------------------------------------------------ job running *)
 
-let set_depth_gauge t =
-  let d = float_of_int (Bqueue.length t.queue) in
-  Metric.set g_queue_depth d;
-  Metric.update_max g_queue_peak d
-
 let expired w =
   match w.w_deadline_ns with
   | Some d -> now_ns () > d
   | None -> false
 
-(* Work replies record telemetry (latency histogram, obs reply counter,
-   flight record) BEFORE the reply frame is written: once a client has
-   read the reply, the registry already reflects it, so a quiescent
-   daemon's Metric.snapshot matches what any later stats poll reports
+(* Every reply to a work request, from a worker or a reader thread,
+   success or error, is accounted here and nowhere else: the flight
+   record, the op's latency histogram (successes only), the write and
+   [completed] (successes only).  [error] is [None] for a success.  A
+   reader-thread reply ([worker = -1]: a cache hit or a rejection at
+   the gate) carries no queue or eval time.  Telemetry lands BEFORE
+   the frame is written: once a client has read the reply, the
+   registry already reflects it, so a quiescent daemon's
+   Metric.snapshot matches what any later stats poll reports
    bit-for-bit (a property the test suite pins). *)
-let finish_reply t w result =
+let send_reply t conn ~rid ~op ~worker ~enqueued_ns ~dispatched_ns ~bytes_in
+    ~error frame =
   let now = now_ns () in
-  observe_latency w.w_op (float_of_int (now - w.w_enqueued_ns) /. 1e9);
-  Metric.incr m_replies;
-  let rid = if w.w_id = Json.Null then Some w.w_rid else None in
-  let frame = Protocol.ok_frame ~id:w.w_id ?rid result in
-  Mccm_obs.Flight.record ~rid:w.w_rid ~op:(Protocol.op_to_string w.w_op)
-    ~worker:w.w_worker
-    ~queue_ns:(max 0 (w.w_dispatched_ns - w.w_enqueued_ns))
-    ~eval_ns:(max 0 (now - w.w_dispatched_ns))
-    ~bytes_in:w.w_bytes_in
+  let dispatched = worker >= 0 in
+  if Option.is_none error then
+    observe_latency op (float_of_int (now - enqueued_ns) /. 1e9);
+  Mccm_obs.Flight.record ~rid ~op:(Protocol.op_to_string op) ~worker
+    ~queue_ns:(if dispatched then max 0 (dispatched_ns - enqueued_ns) else 0)
+    ~eval_ns:(if dispatched then max 0 (now - dispatched_ns) else 0)
+    ~bytes_in
     ~bytes_out:(String.length frame + 1)
-    ~outcome:"ok";
-  write_line t w.w_conn frame;
-  incr t.c.completed
+    ~outcome:
+      (match error with
+      | None -> "ok"
+      | Some code -> Protocol.error_code_to_string code);
+  write_line t conn frame;
+  if Option.is_none error then incr t.c.completed
+
+let send_work_reply t w ~error frame =
+  send_reply t w.w_conn ~rid:w.w_rid ~op:w.w_op ~worker:w.w_worker
+    ~enqueued_ns:w.w_enqueued_ns ~dispatched_ns:w.w_dispatched_ns
+    ~bytes_in:w.w_bytes_in ~error frame
+
+let finish_reply t w result =
+  let rid = if w.w_id = Json.Null then Some w.w_rid else None in
+  send_work_reply t w ~error:None (Protocol.ok_frame ~id:w.w_id ?rid result)
 
 let reply_work_error t w code msg =
-  let now = now_ns () in
-  Metric.incr m_replies;
-  let frame = Protocol.error_frame ~id:w.w_id ~rid:w.w_rid code msg in
-  Mccm_obs.Flight.record ~rid:w.w_rid ~op:(Protocol.op_to_string w.w_op)
-    ~worker:w.w_worker
-    ~queue_ns:(max 0 (w.w_dispatched_ns - w.w_enqueued_ns))
-    ~eval_ns:(max 0 (now - w.w_dispatched_ns))
-    ~bytes_in:w.w_bytes_in
-    ~bytes_out:(String.length frame + 1)
-    ~outcome:(Protocol.error_code_to_string code);
-  write_line t w.w_conn frame
+  send_work_reply t w ~error:(Some code)
+    (Protocol.error_frame ~id:w.w_id ~rid:w.w_rid code msg)
 
 let reject_deadline t w =
   incr t.c.rejected_deadline;
-  Metric.incr m_deadline;
   reply_work_error t w Protocol.Deadline_exceeded
     "deadline expired before evaluation started"
 
-(* Rejection at the gate, from a reader thread: no worker ever saw the
-   request, so the flight record carries worker = -1 and no timings. *)
+(* Rejection at the gate, from a reader thread, before any work record
+   exists: no worker ever saw the request. *)
 let reject_at_gate t conn ~id ~rid ~op ~bytes_in code msg =
-  Metric.incr m_replies;
-  let frame = Protocol.error_frame ~id ~rid code msg in
-  Mccm_obs.Flight.record ~rid ~op:(Protocol.op_to_string op) ~worker:(-1)
-    ~queue_ns:0 ~eval_ns:0 ~bytes_in
-    ~bytes_out:(String.length frame + 1)
-    ~outcome:(Protocol.error_code_to_string code);
-  write_line t conn frame
-
-let gate_reject_work t w code msg =
-  reject_at_gate t w.w_conn ~id:w.w_id ~rid:w.w_rid ~op:w.w_op
-    ~bytes_in:w.w_bytes_in code msg
+  send_reply t conn ~rid ~op ~worker:(-1) ~enqueued_ns:0 ~dispatched_ns:0
+    ~bytes_in ~error:(Some code) (Protocol.error_frame ~id ~rid code msg)
 
 (* ------------------------------------------- cache and single-flight *)
 
@@ -693,28 +668,11 @@ let cached_ok_frame ~id ?rid rendered =
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* A cache hit answered inline on the reader thread: the queue and the
-   worker pool never see the request.  Same telemetry discipline as
-   [finish_reply] — latency, reply counter and flight record land
-   before the frame is written; worker is -1 (no worker saw it). *)
-let finish_cached t conn ~id ~rid ~op ~bytes_in ~received_ns rendered =
-  incr t.c.cache_hits;
-  Metric.incr m_cache_hits;
-  let now = now_ns () in
-  observe_latency op (float_of_int (now - received_ns) /. 1e9);
-  Metric.incr m_replies;
-  let rid_out = if id = Json.Null then Some rid else None in
-  let frame = cached_ok_frame ~id ?rid:rid_out rendered in
-  Mccm_obs.Flight.record ~rid ~op:(Protocol.op_to_string op) ~worker:(-1)
-    ~queue_ns:0 ~eval_ns:0 ~bytes_in
-    ~bytes_out:(String.length frame + 1)
-    ~outcome:"ok";
-  write_line t conn frame;
-  incr t.c.completed
-
 (* Reader-path cache consult.  Opt-outs, malformed "cache" members and
    already-expired deadlines all fall through to the slow path, which
-   validates and rejects as before; only a clean hit is served here. *)
+   validates and rejects as before; only a clean hit is served here,
+   inline on the reader thread: the queue and the worker pool never see
+   the request. *)
 let serve_cached t conn ~id ~rid ~op ~bytes_in (req : Protocol.request) =
   match t.cache with
   | None -> false
@@ -733,8 +691,12 @@ let serve_cached t conn ~id ~rid ~op ~bytes_in (req : Protocol.request) =
       match Util.Cache.find cache ckey with
       | None -> false
       | Some rendered ->
-        finish_cached t conn ~id ~rid ~op ~bytes_in ~received_ns:(now_ns ())
-          rendered;
+        let received_ns = now_ns () in
+        let rid_out = if id = Json.Null then Some rid else None in
+        incr t.c.cache_hits;
+        send_reply t conn ~rid ~op ~worker:(-1) ~enqueued_ns:received_ns
+          ~dispatched_ns:received_ns ~bytes_in ~error:None
+          (cached_ok_frame ~id ?rid:rid_out rendered);
         true)
 
 (* While a cacheable evaluate (the "leader") sits in the queue, its
@@ -756,10 +718,7 @@ let drain_waiters t w =
   end
 
 let push_work t w =
-  if Bqueue.try_push t.queue w then begin
-    incr t.c.enqueued;
-    set_depth_gauge t
-  end
+  if Bqueue.try_push t.queue w then incr t.c.enqueued
   else begin
     (* The leader never made the queue: anyone already attached to it
        must be turned away too, or they would wait forever. *)
@@ -768,12 +727,11 @@ let push_work t w =
       (fun v ->
         if stopping t then begin
           incr t.c.rejected_shutdown;
-          gate_reject_work t v Protocol.Shutting_down "daemon is draining"
+          reply_work_error t v Protocol.Shutting_down "daemon is draining"
         end
         else begin
           incr t.c.rejected_overloaded;
-          Metric.incr m_overloaded;
-          gate_reject_work t v Protocol.Overloaded
+          reply_work_error t v Protocol.Overloaded
             (Printf.sprintf "request queue full (%d)" t.cfg.queue_capacity)
         end)
       stranded
@@ -791,13 +749,11 @@ let enqueue_work t w =
     | Some waiters ->
       waiters := w :: !waiters;
       Mutex.unlock t.inflight_m;
-      incr t.c.cache_coalesced;
-      Metric.incr m_cache_coalesced
+      incr t.c.cache_coalesced
     | None ->
       Hashtbl.add t.inflight w.w_ckey (ref []);
       Mutex.unlock t.inflight_m;
       incr t.c.cache_misses;
-      Metric.incr m_cache_misses;
       push_work t w
   end
 
@@ -808,11 +764,7 @@ let publish t w result =
   | Some cache when w.w_ckey <> "" ->
     let rendered = Json.to_string result in
     let evicted = Util.Cache.add cache w.w_ckey rendered in
-    if evicted > 0 then begin
-      ignore (Atomic.fetch_and_add t.c.cache_evictions evicted);
-      Metric.add m_cache_evictions evicted
-    end;
-    Metric.set g_cache_size (float_of_int (Util.Cache.length cache))
+    if evicted > 0 then ignore (Atomic.fetch_and_add t.c.cache_evictions evicted)
   | _ -> ()
 
 let json_of_evaluated model (e : Dse.Explore.evaluated) =
@@ -906,93 +858,96 @@ let collect_batch t first =
     List.rev !items
   | _ -> [ first ]
 
-let process_eval_batch t forks items =
-  match items with
-  | [] -> ()
-  | first :: _ ->
-    (* Each leader picks up its coalesced waiters at dispatch; waiters
-       inherit the leader's dispatch stamp (their own enqueue time
-       still dates the queue wait) and deadline admission is honored
-       per recipient.  A unit evaluates if any recipient is live. *)
-    let units =
-      List.filter_map
-        (fun w ->
-          let waiters = drain_waiters t w in
-          List.iter
-            (fun v ->
-              v.w_dispatched_ns <- w.w_dispatched_ns;
-              v.w_worker <- w.w_worker)
-            waiters;
-          let live, dead =
-            List.partition (fun v -> not (expired v)) (w :: waiters)
-          in
-          List.iter (reject_deadline t) dead;
-          if live = [] then None else Some (w, live))
-        items
-    in
-    if units <> [] then begin
-      let model = Option.get first.w_model in
-      let board = Option.get first.w_board in
-      let archs =
-        List.map
-          (fun (w, _) ->
-            match w.w_job with J_eval a -> a | _ -> assert false)
-          units
-      in
-      let results =
-        match worker_fork t forks ~key:first.w_key ~model ~board with
-        | Some session ->
-          Mccm.Eval_session.metrics_batch ~store_arch:t.cfg.store_arch
-            session archs
-        | None -> List.map (fun a -> Mccm.Evaluate.metrics model board a) archs
-      in
-      if List.length units >= 2 then begin
-        incr t.c.batches;
-        Metric.incr m_batches;
-        Atomic.set t.c.batched (Atomic.get t.c.batched + List.length units)
-      end;
-      List.iter2
-        (fun (w, live) m ->
-          let result = Json.Obj [ ("metrics", Protocol.json_of_metrics m) ] in
-          publish t w result;
-          List.iter (fun v -> finish_reply t v result) live)
-        units results
-    end
-
-let process_one t forks w =
-  match w.w_job with
-  | J_eval _ -> assert false (* handled by process_eval_batch *)
-  | J_sleep seconds ->
-    Unix.sleepf seconds;
-    finish_reply t w (Json.Obj [ ("slept_s", Json.Num seconds) ])
-  | J_explore { samples; seed } ->
-    let model = Option.get w.w_model and board = Option.get w.w_board in
-    let session = worker_fork t forks ~key:w.w_key ~model ~board in
-    finish_reply t w (run_explore session model board ~samples ~seed)
-  | J_enumerate { ces; objective; max_specs; prune } ->
-    let model = Option.get w.w_model and board = Option.get w.w_board in
-    let session = worker_fork t forks ~key:w.w_key ~model ~board in
-    finish_reply t w
-      (run_enumerate session model board ~ces ~objective ~max_specs ~prune)
-  | J_validate { samples; seed } ->
-    finish_reply t w (run_validate ~samples ~seed)
-
-let guarded t w f =
+(* Run one unit of work under its own span and error handler, then
+   answer each of its recipients: the result, or the unit's own
+   [bad_params]/[internal] error, counted once per reply. *)
+let run_unit t w recipients f =
   match
     Mccm_obs.span ~cat:"serve"
       ~args:[ ("rid", w.w_rid) ]
       ("serve." ^ Protocol.op_to_string w.w_op)
       f
   with
-  | () -> ()
-  | exception (Invalid_argument msg | Failure msg) ->
-    incr t.c.errors_bad_params;
-    Metric.incr m_errors;
-    reply_work_error t w Protocol.Bad_params msg
+  | result -> List.iter (fun v -> finish_reply t v result) recipients
   | exception e ->
-    incr t.c.errors_internal;
-    Metric.incr m_errors;
-    reply_work_error t w Protocol.Internal (Printexc.to_string e)
+    let counter, code, msg =
+      match e with
+      | Invalid_argument msg | Failure msg ->
+        (t.c.errors_bad_params, Protocol.Bad_params, msg)
+      | e -> (t.c.errors_internal, Protocol.Internal, Printexc.to_string e)
+    in
+    List.iter
+      (fun v ->
+        incr counter;
+        reply_work_error t v code msg)
+      recipients
+
+let process_eval_batch t forks items =
+  (* Each leader picks up its coalesced waiters at dispatch; waiters
+     inherit the leader's dispatch stamp (their own enqueue time still
+     dates the queue wait) and deadline admission is honored per
+     recipient.  A unit evaluates if any recipient is live. *)
+  let units =
+    List.filter_map
+      (fun w ->
+        let waiters = drain_waiters t w in
+        List.iter
+          (fun v ->
+            v.w_dispatched_ns <- w.w_dispatched_ns;
+            v.w_worker <- w.w_worker)
+          waiters;
+        let live, dead =
+          List.partition (fun v -> not (expired v)) (w :: waiters)
+        in
+        List.iter (reject_deadline t) dead;
+        if live = [] then None else Some (w, live))
+      items
+  in
+  match units with
+  | [] -> ()
+  | (first, _) :: _ ->
+    let model = Option.get first.w_model in
+    let board = Option.get first.w_board in
+    (* Forced under each unit's handler: a failing fork answers every
+       unit with an error instead of killing the worker. *)
+    let session = lazy (worker_fork t forks ~key:first.w_key ~model ~board) in
+    let n = List.length units in
+    if n >= 2 then begin
+      incr t.c.batches;
+      ignore (Atomic.fetch_and_add t.c.batched n)
+    end;
+    List.iter
+      (fun (w, live) ->
+        run_unit t w live (fun () ->
+            let archi =
+              match w.w_job with J_eval a -> a | _ -> assert false
+            in
+            let m =
+              match Lazy.force session with
+              | Some s ->
+                Mccm.Eval_session.metrics ~store_arch:t.cfg.store_arch s archi
+              | None -> Mccm.Evaluate.metrics model board archi
+            in
+            let result = Json.Obj [ ("metrics", Protocol.json_of_metrics m) ] in
+            publish t w result;
+            result))
+      units
+
+let run_job t forks w =
+  match w.w_job with
+  | J_eval _ -> assert false (* handled by process_eval_batch *)
+  | J_sleep seconds ->
+    Unix.sleepf seconds;
+    Json.Obj [ ("slept_s", Json.Num seconds) ]
+  | J_explore { samples; seed } ->
+    let model = Option.get w.w_model and board = Option.get w.w_board in
+    let session = worker_fork t forks ~key:w.w_key ~model ~board in
+    run_explore session model board ~samples ~seed
+  | J_enumerate { ces; objective; max_specs; prune } ->
+    let model = Option.get w.w_model and board = Option.get w.w_board in
+    let session = worker_fork t forks ~key:w.w_key ~model ~board in
+    run_enumerate session model board ~ces ~objective ~max_specs ~prune
+  | J_validate { samples; seed } -> run_validate ~samples ~seed
 
 let worker_loop t worker =
   let forks = Hashtbl.create 8 in
@@ -1009,13 +964,11 @@ let worker_loop t worker =
       | J_eval _ ->
         let batch = collect_batch t w in
         List.iter stamp batch;
-        set_depth_gauge t;
-        guarded t w (fun () -> process_eval_batch t forks batch)
+        process_eval_batch t forks batch
       | _ ->
         stamp w;
-        set_depth_gauge t;
         if expired w then reject_deadline t w
-        else guarded t w (fun () -> process_one t forks w));
+        else run_unit t w [ w ] (fun () -> run_job t forks w));
       loop ()
   in
   (try loop () with _ -> ());
@@ -1067,6 +1020,7 @@ let stats_json t =
       ("uptime_s", Some (Json.Num (uptime_s t)));
       ("workers", Some (Json.Num (float_of_int t.cfg.workers)));
       ("queue_depth", Some (Json.Num (float_of_int (queue_depth t))));
+      ("queue_peak", Some (Json.Num (float_of_int (queue_peak t))));
       ( "queue_capacity",
         Some (Json.Num (float_of_int t.cfg.queue_capacity)) );
       ("draining", Some (Json.Bool (stopping t)));
@@ -1151,6 +1105,7 @@ let telemetry_tick t =
           ~extra_gauges:
             [
               ("serve_queue_depth_now", float_of_int (queue_depth t));
+              ("serve_queue_peak", float_of_int (queue_peak t));
               ("serve_uptime_seconds", uptime_s t);
             ]
           (Metric.snapshot ())
@@ -1210,7 +1165,6 @@ let handle_request t conn ~bytes_in (req : Protocol.request) =
     stop t
   | _ -> (
     let op = req.Protocol.op in
-    Metric.incr m_requests;
     if stopping t then begin
       incr t.c.rejected_shutdown;
       reject_at_gate t conn ~id ~rid ~op ~bytes_in Protocol.Shutting_down
@@ -1224,7 +1178,6 @@ let handle_request t conn ~bytes_in (req : Protocol.request) =
       with
       | exception Bad msg ->
         incr t.c.errors_bad_params;
-        Metric.incr m_errors;
         reject_at_gate t conn ~id ~rid ~op ~bytes_in Protocol.Bad_params msg
       | (model, board, key, job), ckey -> (
         let enq = now_ns () in
@@ -1238,7 +1191,6 @@ let handle_request t conn ~bytes_in (req : Protocol.request) =
           (* Already expired: answered at the gate, the queue and the
              worker pool never see it. *)
           incr t.c.rejected_deadline;
-          Metric.incr m_deadline;
           reject_at_gate t conn ~id ~rid ~op ~bytes_in
             Protocol.Deadline_exceeded "deadline expired on arrival"
         | _ ->

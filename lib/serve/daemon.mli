@@ -22,23 +22,27 @@
       from a process-global, content-keyed parent registry and absorbed
       back at drain — the {!Dse.Crew} warm-session discipline stretched
       over the daemon's lifetime.  Consecutive queued [evaluate]
-      requests on the same (model, board) are served through one
-      {!Mccm.Eval_session.metrics_batch} call.
+      requests on the same (model, board) are served as one batch on
+      one fork, each under its own error handler: a request that fails
+      answers its own recipients, and the rest of the batch is still
+      answered.
     - {b Drain} — {!stop} (also reachable via the [shutdown] op or a
       signal handler; it only flips an atomic, so it is safe from a
       signal context) stops the accept loop, closes the queue, lets the
       workers finish everything already queued, absorbs their session
       forks, then unblocks idle readers, joins every thread and unlinks
       the socket.
-    - {b Health} — lock-free internal counters are always on (the
-      [stats] op and {!counters}); with {!Mccm_obs} stats enabled the
-      daemon additionally records [serve.*] metrics: per-endpoint
-      latency histograms, queue depth/peak gauges, rejection counters —
-      next to the evaluator's own cache hit-rate counters.  Every
-      [stats] reply embeds the full {!Mccm_obs.Metric} snapshot as
-      exact JSON ([metrics] member), and work telemetry is recorded
-      {e before} the reply frame is written, so a quiescent daemon's
-      in-process snapshot matches what a poll reports bit-for-bit.
+    - {b Health} — one counter system: the lock-free lifecycle
+      counters ({!counters}, the [stats] op's [counters] member) and
+      the queue's depth and high-water mark ([queue_peak]) are always
+      on, and nothing else counts requests.  With {!Mccm_obs} stats
+      enabled the daemon adds only per-endpoint [serve.<op>.latency]
+      histograms to the registry, next to the evaluator's own cache
+      hit-rate counters.  Every [stats] reply embeds the full
+      {!Mccm_obs.Metric} snapshot as exact JSON ([metrics] member), and
+      work telemetry is recorded {e before} the reply frame is written,
+      so a quiescent daemon's in-process snapshot matches what a poll
+      reports bit-for-bit.
     - {b Flight recorder} — unless [flight_capacity = 0], {!create}
       arms {!Mccm_obs.Flight}: every work reply and rejection leaves a
       structured record (request id, op, worker, queue-wait ns, eval
@@ -115,7 +119,8 @@ val stopping : t -> bool
 val counters : t -> (string * int) list
 (** Snapshot of the internal request-lifecycle counters (always on,
     independent of {!Mccm_obs}): connections opened/closed, frames,
-    requests, enqueued/dispatched/completed, replies, batches,
+    requests, enqueued/dispatched/completed, replies, batches, cache
+    hits/misses/coalesced/evictions, registry-full evaluations,
     rejections by reason, errors, write failures.  Every counter is
     monotone non-decreasing over the daemon's life. *)
 

@@ -33,20 +33,9 @@ type 'v shard = {
   mutable mru : 'v node option;
   mutable lru : 'v node option;
   mutable size : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 type 'v t = { shards : 'v shard array; total_capacity : int }
-
-type stats = {
-  entries : int;
-  capacity : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
 
 let create ?(shards = 16) ~capacity () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
@@ -68,9 +57,6 @@ let create ?(shards = 16) ~capacity () =
       mru = None;
       lru = None;
       size = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
     }
   in
   { shards = Array.init n shard; total_capacity = capacity }
@@ -119,12 +105,9 @@ let find t str =
   let r =
     match H.find_opt s.tbl key with
     | Some node ->
-      s.hits <- s.hits + 1;
       promote s node;
       Some node.n_value
-    | None ->
-      s.misses <- s.misses + 1;
-      None
+    | None -> None
   in
   Mutex.unlock s.m;
   r
@@ -148,8 +131,7 @@ let add t str v =
         | Some victim ->
           unlink s victim;
           H.remove s.tbl victim.n_key;
-          s.size <- s.size - 1;
-          s.evictions <- s.evictions + 1
+          s.size <- s.size - 1
         | None -> assert false);
         1
       end
@@ -176,43 +158,3 @@ let length t =
 
 let capacity t = t.total_capacity
 let shards t = Array.length t.shards
-
-let stats_of_shard s =
-  Mutex.lock s.m;
-  let r =
-    {
-      entries = s.size;
-      capacity = s.cap;
-      hits = s.hits;
-      misses = s.misses;
-      evictions = s.evictions;
-    }
-  in
-  Mutex.unlock s.m;
-  r
-
-let shard_stats t = Array.map stats_of_shard t.shards
-
-let stats t =
-  Array.fold_left
-    (fun acc s ->
-      {
-        entries = acc.entries + s.entries;
-        capacity = acc.capacity + s.capacity;
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        evictions = acc.evictions + s.evictions;
-      })
-    { entries = 0; capacity = 0; hits = 0; misses = 0; evictions = 0 }
-    (shard_stats t)
-
-let clear t =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.m;
-      H.reset s.tbl;
-      s.mru <- None;
-      s.lru <- None;
-      s.size <- 0;
-      Mutex.unlock s.m)
-    t.shards

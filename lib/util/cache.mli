@@ -8,8 +8,9 @@
     alias two entries (the {!Fingerprint} discipline).
 
     Each shard is an independent LRU: a mutex, a hash table, and an
-    intrusive recency list, with its own hit/miss/eviction counters
-    maintained under the mutex.  Capacity is partitioned across shards
+    intrusive recency list.  The cache keeps no counters: {!add}
+    reports each eviction to its caller, which owns the ledger (the
+    daemon's [cache_*] counters).  Capacity is partitioned across shards
     at creation (total never exceeds [capacity]), so eviction order is
     LRU per shard — a standard striped approximation of global LRU
     that trades exact recency for uncontended parallel access.
@@ -20,14 +21,6 @@
 
 type 'v t
 
-type stats = {
-  entries : int;
-  capacity : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
-
 val create : ?shards:int -> capacity:int -> unit -> 'v t
 (** [create ~capacity ()] makes a cache holding at most [capacity]
     entries in total.  [shards] (default 16) is rounded down to a
@@ -35,27 +28,17 @@ val create : ?shards:int -> capacity:int -> unit -> 'v t
     least one entry.  @raise Invalid_argument if [capacity < 1]. *)
 
 val find : 'v t -> string -> 'v option
-(** Look up a key; a hit promotes the entry to most-recently-used and
-    counts a hit, a miss counts a miss. *)
+(** Look up a key; a hit promotes the entry to most-recently-used. *)
 
 val add : 'v t -> string -> 'v -> int
 (** Insert (or replace, promoting) an entry.  Returns the number of
     entries evicted to stay within capacity (0 or 1). *)
 
 val mem : 'v t -> string -> bool
-(** Presence test: no promotion, no counter update. *)
+(** Presence test: no promotion. *)
 
 val length : 'v t -> int
 (** Current number of entries (sums shard sizes; a pure read). *)
 
 val capacity : 'v t -> int
 val shards : 'v t -> int
-
-val stats : 'v t -> stats
-(** Totals across shards. *)
-
-val shard_stats : 'v t -> stats array
-(** Per-shard counters, indexed by shard. *)
-
-val clear : 'v t -> unit
-(** Drop every entry.  Counters are kept (they are lifetime totals). *)

@@ -247,15 +247,14 @@ let cache_exact =
           Mccm.Eval_session.create ctx.case.Case.model ctx.case.Case.board
         in
         let archi = Case.materialize ctx.case in
-        match Mccm.Eval_session.metrics_batch session [ archi; archi ] with
-        | [ cold; warm ] ->
-          let reference = ctx.model_eval.Mccm.Evaluate.metrics in
-          if cold <> reference then
-            Fail "cold cached metrics differ from uncached evaluation"
-          else if warm <> reference then
-            Fail "memoized metrics differ from uncached evaluation"
-          else Pass
-        | _ -> Fail "metrics_batch did not preserve arity");
+        let cold = Mccm.Eval_session.metrics session archi in
+        let warm = Mccm.Eval_session.metrics session archi in
+        let reference = ctx.model_eval.Mccm.Evaluate.metrics in
+        if cold <> reference then
+          Fail "cold cached metrics differ from uncached evaluation"
+        else if warm <> reference then
+          Fail "memoized metrics differ from uncached evaluation"
+        else Pass);
   }
 
 let default_suite ?(envelope = Envelope.default) ?(replan_slack = 0.5) () =

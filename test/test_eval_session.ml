@@ -50,6 +50,9 @@ let test_unmemoized_only_counts () =
   check "no segment traffic" 0
     (st.Mccm.Eval_session.seg_hits + st.Mccm.Eval_session.seg_misses)
 
+(* A batch of candidates evaluated in order on one session, as the
+   daemon serves a batch: later candidates reuse the earlier ones'
+   tables, and every result equals the direct evaluation. *)
 let test_batch_equals_map () =
   let archis =
     [
@@ -58,10 +61,8 @@ let test_batch_equals_map () =
       Arch.Baselines.hybrid ~ces:4 mobv2;
     ]
   in
-  let batch =
-    Mccm.Eval_session.metrics_batch (Mccm.Eval_session.create mobv2 board)
-      archis
-  in
+  let session = Mccm.Eval_session.create mobv2 board in
+  let batch = List.map (Mccm.Eval_session.metrics session) archis in
   List.iter2
     (fun m archi ->
       checkb "batch equals direct evaluation" true

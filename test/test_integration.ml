@@ -324,6 +324,17 @@ let test_cli_count_floors () =
       (0, [ "explore"; "-m"; "MobV2"; "-b"; "VCU108"; "-n"; "1" ]);
     ]
 
+(* An architecture with more CEs than the board has DSPs is an input
+   error (exit 1) in every command that builds one, not an uncaught
+   builder exception (exit 125). *)
+let test_cli_ce_budget () =
+  let arch = "{L1-L52:CE1-CE1000, L53-L53:CE1001}" in
+  List.iter
+    (fun cmd ->
+      let args = [ cmd; arch; "-m"; "Res50"; "-b"; "ZC706" ] in
+      check (String.concat " " args) 1 (cli_status args))
+    [ "eval"; "layers"; "trace"; "compress" ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -354,5 +365,7 @@ let () =
         [
           Alcotest.test_case "count flags reject values below their floor"
             `Quick test_cli_count_floors;
+          Alcotest.test_case "more CEs than DSPs is an input error" `Quick
+            test_cli_ce_budget;
         ] );
     ]

@@ -68,6 +68,28 @@ let check_metrics what expected actual =
     Alcotest.failf "%s: metrics differ from in-process evaluation:@.%a@.vs@.%a"
       what Mccm.Metrics.pp expected Mccm.Metrics.pp actual
 
+let eval_frame ~id ?(cache = true) ~model ~board ~arch () =
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Num (float_of_int id));
+         ("op", Json.Str "evaluate");
+         ( "params",
+           Json.Obj
+             ([
+                ("model", Json.Str model);
+                ("board", Json.Str board);
+                ("arch", Json.Str arch);
+              ]
+             @ if cache then [] else [ ("cache", Json.Bool false) ]) );
+       ])
+
+let raw_call c frame =
+  Result.get_ok (Serve.Client.send_line c frame);
+  match Serve.Client.recv_line ~timeout_s:60.0 c with
+  | Ok line -> line
+  | Error msg -> Alcotest.failf "recv: %s" msg
+
 (* ------------------------------------------------------- round-trips *)
 
 let test_ping () =
@@ -352,6 +374,13 @@ let test_backpressure_overloaded () =
               Alcotest.(check int)
                 "rejected counter" (before + 1)
                 (counter d "rejected_overloaded");
+              (* The high-water mark is tracked without --stats. *)
+              Alcotest.(check (option int))
+                "stats queue_peak" (Some 2)
+                (Option.bind
+                   (Json.member "queue_peak"
+                      (ok_exn "stats" (Serve.Client.stats ~timeout_s:30.0 c)))
+                   Json.int_);
               (* The queued work itself still completes. *)
               List.iter
                 (fun _ ->
@@ -438,6 +467,72 @@ let test_batching () =
               Alcotest.(check bool)
                 "served as a batch" true
                 (counter d "batches" >= 1 && counter d "batched" >= 2);
+              ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))))
+
+(* Every unit of a batch is evaluated under its own handler: a unit
+   whose evaluation fails answers its own recipients (its coalesced
+   twin included) with its own error, and the other units of the batch
+   still get their results. *)
+let test_batch_unit_failure () =
+  let over_budget = "{L1-L52:CE1-CE1000, L53-L53:CE1001}" in
+  let model = Option.get (Cnn.Model_zoo.by_abbreviation "Res50") in
+  let board = Option.get (Platform.Board.by_name "ZC706") in
+  let expected =
+    Mccm.Evaluate.metrics model board
+      (Result.get_ok (Arch.Shorthand.parse model "hybrid/4"))
+  in
+  with_daemon
+    ~configure:(fun c -> { c with Serve.Daemon.workers = 1 })
+    (fun cfg d ->
+      with_client cfg (fun blocker ->
+          with_client cfg (fun c ->
+              Result.get_ok
+                (Serve.Client.send_line blocker
+                   "{\"id\":\"hold\",\"op\":\"sleep\",\"params\":{\"seconds\":0.5}}");
+              Alcotest.(check bool)
+                "worker occupied" true
+                (wait_until (fun () -> counter d "dispatched" >= 1));
+              (* good, bad, and bad's twin (coalesced onto bad) *)
+              List.iteri
+                (fun i arch ->
+                  Result.get_ok
+                    (Serve.Client.send_line c
+                       (eval_frame ~id:i ~model:"Res50" ~board:"ZC706" ~arch ())))
+                [ "hybrid/4"; over_budget; over_budget ];
+              let got = Hashtbl.create 4 in
+              for _ = 1 to 3 do
+                match Serve.Client.recv_line ~timeout_s:10.0 c with
+                | Error msg ->
+                  Alcotest.failf "reply %d of 3: %s" (Hashtbl.length got + 1)
+                    msg
+                | Ok line -> (
+                  match Serve.Protocol.parse_reply line with
+                  | Ok { Serve.Protocol.reply_id; outcome } ->
+                    Hashtbl.replace got (Json.int_ reply_id) outcome
+                  | Error msg -> Alcotest.failf "reply parse: %s" msg)
+              done;
+              (match Hashtbl.find_opt got (Some 0) with
+              | Some (Ok r) ->
+                check_metrics "good unit" expected
+                  (Result.get_ok
+                     (Serve.Protocol.metrics_of_json
+                        (Option.get (Json.member "metrics" r))))
+              | Some (Error (code, msg)) ->
+                Alcotest.failf "good unit answered %s: %s" code msg
+              | None -> Alcotest.fail "good unit got no reply");
+              List.iter
+                (fun i ->
+                  match Hashtbl.find_opt got (Some i) with
+                  | Some (Error ("bad_params", _)) -> ()
+                  | Some (Error (code, _)) ->
+                    Alcotest.failf "bad unit %d answered %s" i code
+                  | Some (Ok _) -> Alcotest.failf "bad unit %d evaluated" i
+                  | None -> Alcotest.failf "bad unit %d got no reply" i)
+                [ 1; 2 ];
+              Alcotest.(check int) "one coalesced" 1
+                (counter d "cache_coalesced");
+              Alcotest.(check int) "each error reply counted" 2
+                (counter d "errors_bad_params");
               ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))))
 
 (* ------------------------------------------------------------- drain *)
@@ -639,29 +734,79 @@ let test_recent_and_rids () =
                  records)
           | _ -> Alcotest.fail "recent reply without records"))
 
+(* One counter system: every family in the Prometheus file is declared
+   once and no unlabeled series repeats, with stats off and on.  The
+   final tick written during drain reflects one evaluate and one cache
+   hit. *)
+let test_prometheus_families_once () =
+  let dups names =
+    List.sort_uniq compare
+      (List.filter
+         (fun n -> List.length (List.filter (String.equal n) names) > 1)
+         names)
+  in
+  let check_file ~stats =
+    let prom = Filename.temp_file "mccm-serve" ".prom" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove prom with Sys_error _ -> ())
+      (fun () ->
+        with_daemon
+          ~configure:(fun c ->
+            {
+              c with
+              Serve.Daemon.prom_path = Some prom;
+              telemetry_interval_s = 0.05;
+            })
+          (fun cfg d ->
+            with_client cfg (fun c ->
+                let frame =
+                  eval_frame ~id:1 ~model:"MobV2" ~board:"VCU108"
+                    ~arch:"hybrid/4" ()
+                in
+                ignore (raw_call c frame);
+                ignore (raw_call c frame);
+                Alcotest.(check int) "one cache hit" 1 (counter d "cache_hits")));
+        let lines =
+          In_channel.with_open_text prom In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "")
+        in
+        let types =
+          List.filter_map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | "#" :: "TYPE" :: name :: _ -> Some name
+              | _ -> None)
+            lines
+        in
+        let series =
+          List.filter_map
+            (fun l ->
+              if l.[0] = '#' || String.contains l '{' then None
+              else Some (List.hd (String.split_on_char ' ' l)))
+            lines
+        in
+        let what = if stats then "stats on" else "stats off" in
+        Alcotest.(check bool)
+          (what ^ ": ledger exported") true
+          (List.mem "mccm_serve_completed 2" lines
+          && List.mem "mccm_serve_cache_hits 1" lines);
+        Alcotest.(check (list string))
+          (what ^ ": repeated # TYPE names") [] (dups types);
+        Alcotest.(check (list string))
+          (what ^ ": repeated series") [] (dups series))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mccm_obs.disable ();
+      Mccm_obs.reset ())
+    (fun () ->
+      Mccm_obs.disable ();
+      check_file ~stats:false;
+      Mccm_obs.enable ();
+      check_file ~stats:true)
+
 (* ------------------------------------------------------ result cache *)
-
-let eval_frame ~id ?(cache = true) ~model ~board ~arch () =
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", Json.Num (float_of_int id));
-         ("op", Json.Str "evaluate");
-         ( "params",
-           Json.Obj
-             ([
-                ("model", Json.Str model);
-                ("board", Json.Str board);
-                ("arch", Json.Str arch);
-              ]
-             @ if cache then [] else [ ("cache", Json.Bool false) ]) );
-       ])
-
-let raw_call c frame =
-  Result.get_ok (Serve.Client.send_line c frame);
-  match Serve.Client.recv_line ~timeout_s:60.0 c with
-  | Ok line -> line
-  | Error msg -> Alcotest.failf "recv: %s" msg
 
 (* The cache's core contract, pinned at the frame level: the reply
    served from the cache is byte-identical to the reply that came from
@@ -889,8 +1034,12 @@ let () =
             test_backpressure_overloaded;
         ] );
       ( "batching",
-        [ Alcotest.test_case "consecutive evaluates batched" `Quick
-            test_batching ] );
+        [
+          Alcotest.test_case "consecutive evaluates batched" `Quick
+            test_batching;
+          Alcotest.test_case "a failing unit answers only its own recipients"
+            `Quick test_batch_unit_failure;
+        ] );
       ( "telemetry",
         [
           Alcotest.test_case "stats/health/recent under saturation" `Quick
@@ -899,6 +1048,8 @@ let () =
             `Quick test_stats_snapshot_bit_exact;
           Alcotest.test_case "recent records and rid propagation" `Quick
             test_recent_and_rids;
+          Alcotest.test_case "each Prometheus family appears once" `Quick
+            test_prometheus_families_once;
         ] );
       ( "cache",
         [
