@@ -64,9 +64,9 @@ let parse_argv () =
   o
 
 (* The request mix rotates a handful of distinct designs on one
-   (model, board): with store_arch=false this measures the daemon's
-   steady-state serve path (session reuse + batching), not a cache
-   replay of a single architecture. *)
+   (model, board): sessions keep no whole-arch results, so this
+   measures the daemon's steady-state serve path (session reuse), not
+   a cache replay of a single architecture. *)
 let archs =
   [| "hybrid/2"; "hybrid/3"; "hybrid/4"; "segmented/2"; "segmented/3";
      "segmentedrr/3" |]

@@ -735,7 +735,7 @@ let socket_arg =
 let serve_cmd =
   let workers_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Worker domains for the evaluation pool (0 = the runtime's \
@@ -743,38 +743,19 @@ let serve_cmd =
   in
   let queue_arg =
     Arg.(
-      value & opt int 256
+      value & opt (int_at_least 1) 256
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
             "Bounded pending-request queue; beyond it requests are \
              refused immediately with an $(i,overloaded) reply.")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "Maximum consecutive same-session evaluate requests served \
-             through one memoized batch (1 disables batching).")
-  in
   let max_frame_arg =
     Arg.(
       value
-      & opt int Serve.Protocol.default_max_frame_bytes
+      & opt (int_at_least 1) Serve.Protocol.default_max_frame_bytes
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:"Per-frame size cap; larger frames get an \
                 $(i,oversized_frame) reply.")
-  in
-  let store_arch_arg =
-    Arg.(
-      value & flag
-      & info [ "store-arch" ]
-          ~doc:
-            "Let sessions keep whole-architecture results across \
-             requests.  Faster for workloads that revisit the same \
-             design, but the footprint grows with distinct designs \
-             seen; off by default so a long-lived daemon's RSS stays \
-             flat.")
   in
   let telemetry_arg =
     Arg.(
@@ -804,7 +785,7 @@ let serve_cmd =
   in
   let flight_cap_arg =
     Arg.(
-      value & opt int 512
+      value & opt (int_at_least 0) 512
       & info [ "flight-cap" ] ~docv:"N"
           ~doc:
             "Per-domain flight-recorder ring capacity (0 disables the \
@@ -820,7 +801,7 @@ let serve_cmd =
   in
   let cache_cap_arg =
     Arg.(
-      value & opt int 4096
+      value & opt (int_at_least 0) 4096
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:
             "Content-addressed result-cache capacity in entries \
@@ -829,16 +810,8 @@ let serve_cmd =
              identical concurrent requests coalesce onto one \
              evaluation.  0 disables the cache.")
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Disable the result cache and single-flight coalescing \
-             (same as $(b,--cache-capacity) $(i,0)).")
-  in
-  let run obs socket workers queue_cap batch max_frame store_arch telemetry
-      prom interval flight_cap slow_ms cache_cap no_cache =
+  let run obs socket workers queue_cap max_frame telemetry prom interval
+      flight_cap slow_ms cache_cap =
     with_obs "serve" obs @@ fun () ->
     let cfg = Serve.Daemon.default ~socket_path:socket in
     let cfg =
@@ -847,12 +820,10 @@ let serve_cmd =
         Serve.Daemon.workers =
           (if workers > 0 then workers else cfg.Serve.Daemon.workers);
         queue_capacity = queue_cap;
-        batch_limit = batch;
         max_frame_bytes = max_frame;
-        store_arch;
         flight_capacity = flight_cap;
         flight_slow_ms = slow_ms;
-        cache_capacity = (if no_cache then 0 else max 0 cache_cap);
+        cache_capacity = cache_cap;
         telemetry_path = telemetry;
         prom_path = prom;
         telemetry_interval_s = interval;
@@ -886,10 +857,9 @@ let serve_cmd =
           explore / enumerate / validate requests over a Unix-domain \
           socket (newline-delimited JSON).")
     Term.(
-      const run $ obs_args $ socket_arg $ workers_arg $ queue_arg $ batch_arg
-      $ max_frame_arg $ store_arch_arg $ telemetry_arg $ prom_arg
-      $ interval_arg $ flight_cap_arg $ slow_ms_arg $ cache_cap_arg
-      $ no_cache_arg)
+      const run $ obs_args $ socket_arg $ workers_arg $ queue_arg
+      $ max_frame_arg $ telemetry_arg $ prom_arg $ interval_arg
+      $ flight_cap_arg $ slow_ms_arg $ cache_cap_arg)
 
 (* ----------------------------------------------------------- client *)
 
@@ -1146,7 +1116,6 @@ let top_cmd =
           ("requests", counter_of reply "requests");
           ("completed", counter_of reply "completed");
           ("replies", counter_of reply "replies");
-          ("batches", counter_of reply "batches");
           ("cache_hits", counter_of reply "cache_hits");
           ("cache_misses", counter_of reply "cache_misses");
           ("cache_coalesced", counter_of reply "cache_coalesced");
@@ -1227,9 +1196,9 @@ let top_cmd =
                 | _ -> { Metric.counters = []; gauges = []; histograms = [] }
               in
               let counter_keys =
-                [ "requests"; "completed"; "replies"; "batches";
-                  "cache_hits"; "cache_misses"; "cache_coalesced";
-                  "cache_evictions"; "registry_full" ]
+                [ "requests"; "completed"; "replies"; "cache_hits";
+                  "cache_misses"; "cache_coalesced"; "cache_evictions";
+                  "registry_full" ]
               in
               let cur_counters =
                 ("rejected", rejected reply) :: ("errors", errors reply)

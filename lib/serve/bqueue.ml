@@ -53,17 +53,10 @@ let pop t =
       in
       wait ())
 
-let pop_head_if t pred =
-  with_lock t (fun () ->
-      match Queue.peek_opt t.q with
-      | Some v when pred v -> Some (Queue.pop t.q)
-      | _ -> None)
-
 let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
 
-let closed t = with_lock t (fun () -> t.closed)
 let length t = with_lock t (fun () -> Queue.length t.q)
 let peak t = with_lock t (fun () -> t.peak)

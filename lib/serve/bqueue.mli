@@ -21,15 +21,9 @@ val try_push : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 (** Blocking; [None] once closed {e and} drained. *)
 
-val pop_head_if : 'a t -> ('a -> bool) -> 'a option
-(** Non-blocking: pop the head iff the predicate accepts it.  Only ever
-    inspects the head, so FIFO order is preserved — this is how a
-    worker gathers a batch of {e consecutive} compatible requests. *)
-
 val close : 'a t -> unit
 (** Reject further pushes; wake all blocked consumers.  Idempotent. *)
 
-val closed : 'a t -> bool
 val length : 'a t -> int
 
 val peak : 'a t -> int

@@ -6,10 +6,9 @@
      evaluation work onto a bounded {!Bqueue} (full queue => immediate
      [overloaded] reply — backpressure is explicit);
    - worker domains dispatched through {!Util.Parallel.Pool.run} pull
-     work, each evaluating on warm per-worker {!Mccm.Eval_session}
-     forks (the {!Dse.Crew} discipline: fork once per worker, absorb
-     at drain) and batching consecutive compatible evaluate requests
-     onto one fork, each request under its own error handler;
+     one request at a time and run it, with its coalesced waiters,
+     under one error handler on the worker's own warm
+     {!Mccm.Eval_session} for the request's (model, board);
    - graceful drain: a stop request (signal, [shutdown] op, or
      {!stop}) flips one atomic; the accept loop stops accepting and
      closes the queue, workers finish everything already queued, and
@@ -46,8 +45,6 @@ type counters = {
   dispatched : int Atomic.t;
   completed : int Atomic.t;
   replies : int Atomic.t;
-  batches : int Atomic.t;
-  batched : int Atomic.t;
   cache_hits : int Atomic.t;
   cache_misses : int Atomic.t;
   cache_coalesced : int Atomic.t;
@@ -73,8 +70,6 @@ let new_counters () =
     dispatched = Atomic.make 0;
     completed = Atomic.make 0;
     replies = Atomic.make 0;
-    batches = Atomic.make 0;
-    batched = Atomic.make 0;
     cache_hits = Atomic.make 0;
     cache_misses = Atomic.make 0;
     cache_coalesced = Atomic.make 0;
@@ -100,8 +95,6 @@ let counters_alist c =
     ("dispatched", Atomic.get c.dispatched);
     ("completed", Atomic.get c.completed);
     ("replies", Atomic.get c.replies);
-    ("batches", Atomic.get c.batches);
-    ("batched", Atomic.get c.batched);
     ("cache_hits", Atomic.get c.cache_hits);
     ("cache_misses", Atomic.get c.cache_misses);
     ("cache_coalesced", Atomic.get c.cache_coalesced);
@@ -126,8 +119,6 @@ type config = {
   workers : int;
   queue_capacity : int;
   max_frame_bytes : int;
-  batch_limit : int;
-  store_arch : bool;
   max_sessions : int;
   cache_capacity : int;
   max_samples : int;
@@ -146,8 +137,6 @@ let default ~socket_path =
     workers = max 1 (Util.Parallel.recommended ());
     queue_capacity = 256;
     max_frame_bytes = Protocol.default_max_frame_bytes;
-    batch_limit = 16;
-    store_arch = false;
     max_sessions = 64;
     cache_capacity = 4096;
     max_samples = 100_000;
@@ -212,8 +201,7 @@ type t = {
   conns_m : Mutex.t;
   next_cid : int Atomic.t;
   next_rid : int Atomic.t;
-  sessions : (string, Mccm.Eval_session.t) Hashtbl.t;
-  sessions_m : Mutex.t;
+  sessions : int Atomic.t; (* sessions held across all workers *)
   (* Content-addressed result cache (rendered result JSON, so a hit's
      reply is byte-identical to the evaluation that populated it) and
      the single-flight waiter table: while a cacheable evaluate sits
@@ -235,12 +223,7 @@ let queue_depth t = Bqueue.length t.queue
 let queue_peak t = Bqueue.peak t.queue
 let counters t = counters_alist t.c
 let config t = t.cfg
-
-let session_count t =
-  Mutex.lock t.sessions_m;
-  let n = Hashtbl.length t.sessions in
-  Mutex.unlock t.sessions_m;
-  n
+let session_count t = Atomic.get t.sessions
 
 (* ------------------------------------------------------------ bind *)
 
@@ -271,8 +254,6 @@ let bind_socket path =
 
 let create cfg =
   if cfg.workers < 1 then invalid_arg "Daemon.create: workers must be >= 1";
-  if cfg.batch_limit < 1 then
-    invalid_arg "Daemon.create: batch_limit must be >= 1";
   if cfg.cache_capacity < 0 then
     invalid_arg "Daemon.create: cache_capacity must be >= 0";
   (* The flight recorder is process-global (like the Metric registry);
@@ -292,8 +273,7 @@ let create cfg =
     conns_m = Mutex.create ();
     next_cid = Atomic.make 0;
     next_rid = Atomic.make 0;
-    sessions = Hashtbl.create 16;
-    sessions_m = Mutex.create ();
+    sessions = Atomic.make 0;
     cache =
       (if cfg.cache_capacity > 0 then
          Some (Util.Cache.create ~capacity:cfg.cache_capacity ())
@@ -536,55 +516,25 @@ let evaluate_cache_key cfg (req : Protocol.request) =
 
 (* --------------------------------------------------------- sessions *)
 
-(* Parent sessions are process-global (one per (model, board) content
-   key, capped); workers evaluate on private forks cut lazily and
-   absorbed back at drain — the Crew discipline, stretched over the
-   daemon's whole lifetime. *)
-
-let parent_session t ~key ~model ~board =
-  Mutex.lock t.sessions_m;
-  let parent =
-    match Hashtbl.find_opt t.sessions key with
-    | Some s -> Some s
-    | None ->
-      if Hashtbl.length t.sessions >= t.cfg.max_sessions then None
-      else begin
-        let s = Mccm.Eval_session.create model board in
-        Hashtbl.add t.sessions key s;
-        Some s
-      end
-  in
-  (* Forking under the registry mutex: absorb (at drain) also holds it,
-     so a fork never reads tables an absorb is mutating. *)
-  let fork = Option.map Mccm.Eval_session.fork parent in
-  Mutex.unlock t.sessions_m;
-  fork
-
-let worker_fork t forks ~key ~model ~board =
-  match Hashtbl.find_opt forks key with
+(* Each worker owns its sessions, one per (model, board) content key,
+   created on first use and never shared, so no lock guards them.  A
+   worker holds at most [max_sessions]; past the cap a new key
+   evaluates uncached, and every such job is counted, so the
+   misconfiguration shows up in stats/top instead of only as
+   mysteriously slow evaluates. *)
+let worker_session t sessions w =
+  match Hashtbl.find_opt sessions w.w_key with
   | Some s -> Some s
-  | None -> (
-    match parent_session t ~key ~model ~board with
-    | None ->
-      (* Registry full: evaluate uncached — and count it, so the
-         misconfiguration shows up in stats/top instead of only as
-         mysteriously slow evaluates. *)
-      incr t.c.registry_full;
-      None
-    | Some fork ->
-      Hashtbl.add forks key fork;
-      Some fork)
-
-let absorb_forks t forks =
-  Mutex.lock t.sessions_m;
-  Hashtbl.iter
-    (fun key fork ->
-      match Hashtbl.find_opt t.sessions key with
-      | Some parent -> Mccm.Eval_session.absorb ~into:parent fork
-      | None -> ())
-    forks;
-  Mutex.unlock t.sessions_m;
-  Hashtbl.reset forks
+  | None when Hashtbl.length sessions >= t.cfg.max_sessions ->
+    incr t.c.registry_full;
+    None
+  | None ->
+    let s =
+      Mccm.Eval_session.create (Option.get w.w_model) (Option.get w.w_board)
+    in
+    Hashtbl.add sessions w.w_key s;
+    incr t.sessions;
+    Some s
 
 (* ------------------------------------------------------ job running *)
 
@@ -834,33 +784,10 @@ let run_validate ~samples ~seed =
       ("elapsed_s", Json.Num r.Validate.Sweep.elapsed_s);
     ]
 
-(* A batch: the head work item plus every consecutive queued evaluate
-   on the same session key, popped without ever skipping over an
-   unrelated request (FIFO order is preserved exactly). *)
-let collect_batch t first =
-  match first.w_job with
-  | J_eval _ when t.cfg.batch_limit > 1 ->
-    let items = ref [ first ] in
-    let count = ref 1 in
-    let continue = ref true in
-    while !continue && !count < t.cfg.batch_limit do
-      match
-        Bqueue.pop_head_if t.queue (fun w ->
-            w.w_key = first.w_key
-            && match w.w_job with J_eval _ -> true | _ -> false)
-      with
-      | Some w ->
-        items := w :: !items;
-        count := !count + 1;
-        Atomic.incr t.c.dispatched
-      | None -> continue := false
-    done;
-    List.rev !items
-  | _ -> [ first ]
-
-(* Run one unit of work under its own span and error handler, then
-   answer each of its recipients: the result, or the unit's own
-   [bad_params]/[internal] error, counted once per reply. *)
+(* Run one request under its own span and error handler, then answer
+   each of its recipients (the request and its coalesced waiters): the
+   result, or the request's own [bad_params]/[internal] error, counted
+   once per reply. *)
 let run_unit t w recipients f =
   match
     Mccm_obs.span ~cat:"serve"
@@ -882,97 +809,54 @@ let run_unit t w recipients f =
         reply_work_error t v code msg)
       recipients
 
-let process_eval_batch t forks items =
-  (* Each leader picks up its coalesced waiters at dispatch; waiters
-     inherit the leader's dispatch stamp (their own enqueue time still
-     dates the queue wait) and deadline admission is honored per
-     recipient.  A unit evaluates if any recipient is live. *)
-  let units =
-    List.filter_map
-      (fun w ->
-        let waiters = drain_waiters t w in
-        List.iter
-          (fun v ->
-            v.w_dispatched_ns <- w.w_dispatched_ns;
-            v.w_worker <- w.w_worker)
-          waiters;
-        let live, dead =
-          List.partition (fun v -> not (expired v)) (w :: waiters)
-        in
-        List.iter (reject_deadline t) dead;
-        if live = [] then None else Some (w, live))
-      items
-  in
-  match units with
-  | [] -> ()
-  | (first, _) :: _ ->
-    let model = Option.get first.w_model in
-    let board = Option.get first.w_board in
-    (* Forced under each unit's handler: a failing fork answers every
-       unit with an error instead of killing the worker. *)
-    let session = lazy (worker_fork t forks ~key:first.w_key ~model ~board) in
-    let n = List.length units in
-    if n >= 2 then begin
-      incr t.c.batches;
-      ignore (Atomic.fetch_and_add t.c.batched n)
-    end;
-    List.iter
-      (fun (w, live) ->
-        run_unit t w live (fun () ->
-            let archi =
-              match w.w_job with J_eval a -> a | _ -> assert false
-            in
-            let m =
-              match Lazy.force session with
-              | Some s ->
-                Mccm.Eval_session.metrics ~store_arch:t.cfg.store_arch s archi
-              | None -> Mccm.Evaluate.metrics model board archi
-            in
-            let result = Json.Obj [ ("metrics", Protocol.json_of_metrics m) ] in
-            publish t w result;
-            result))
-      units
-
-let run_job t forks w =
+let run_job t sessions w =
   match w.w_job with
-  | J_eval _ -> assert false (* handled by process_eval_batch *)
+  | J_eval archi ->
+    let m =
+      match worker_session t sessions w with
+      | Some s -> Mccm.Eval_session.metrics ~store_arch:false s archi
+      | None ->
+        Mccm.Evaluate.metrics (Option.get w.w_model) (Option.get w.w_board)
+          archi
+    in
+    let result = Json.Obj [ ("metrics", Protocol.json_of_metrics m) ] in
+    publish t w result;
+    result
   | J_sleep seconds ->
     Unix.sleepf seconds;
     Json.Obj [ ("slept_s", Json.Num seconds) ]
   | J_explore { samples; seed } ->
-    let model = Option.get w.w_model and board = Option.get w.w_board in
-    let session = worker_fork t forks ~key:w.w_key ~model ~board in
-    run_explore session model board ~samples ~seed
+    run_explore (worker_session t sessions w) (Option.get w.w_model)
+      (Option.get w.w_board) ~samples ~seed
   | J_enumerate { ces; objective; max_specs; prune } ->
-    let model = Option.get w.w_model and board = Option.get w.w_board in
-    let session = worker_fork t forks ~key:w.w_key ~model ~board in
-    run_enumerate session model board ~ces ~objective ~max_specs ~prune
+    run_enumerate (worker_session t sessions w) (Option.get w.w_model)
+      (Option.get w.w_board) ~ces ~objective ~max_specs ~prune
   | J_validate { samples; seed } -> run_validate ~samples ~seed
 
+(* One path for every request: pop it, pick up its coalesced waiters
+   (they inherit its dispatch stamp; their own enqueue time still dates
+   the queue wait), refuse the recipients whose deadline has passed,
+   and run the request once for the rest. *)
 let worker_loop t worker =
-  let forks = Hashtbl.create 8 in
-  let stamp w =
-    w.w_dispatched_ns <- now_ns ();
-    w.w_worker <- worker
-  in
+  let sessions = Hashtbl.create 8 in
   let rec loop () =
     match Bqueue.pop t.queue with
     | None -> ()
     | Some w ->
       incr t.c.dispatched;
-      (match w.w_job with
-      | J_eval _ ->
-        let batch = collect_batch t w in
-        List.iter stamp batch;
-        process_eval_batch t forks batch
-      | _ ->
-        stamp w;
-        if expired w then reject_deadline t w
-        else run_unit t w [ w ] (fun () -> run_job t forks w));
+      let dispatched_ns = now_ns () in
+      let recipients = w :: drain_waiters t w in
+      List.iter
+        (fun v ->
+          v.w_dispatched_ns <- dispatched_ns;
+          v.w_worker <- worker)
+        recipients;
+      let live, dead = List.partition (fun v -> not (expired v)) recipients in
+      List.iter (reject_deadline t) dead;
+      if live <> [] then run_unit t w live (fun () -> run_job t sessions w);
       loop ()
   in
-  (try loop () with _ -> ());
-  absorb_forks t forks
+  try loop () with _ -> ()
 
 (* ------------------------------------------------------ control ops *)
 

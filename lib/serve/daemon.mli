@@ -17,21 +17,18 @@
       touching the queue or the worker pool.
     - {b Compute plane} — [workers] domains dispatched through one
       {!Util.Parallel.Pool.run} round (the caller's pool slot idles, so
-      the I/O systhreads on the main domain stay responsive).  Each
-      worker evaluates on private {!Mccm.Eval_session} forks cut lazily
-      from a process-global, content-keyed parent registry and absorbed
-      back at drain — the {!Dse.Crew} warm-session discipline stretched
-      over the daemon's lifetime.  Consecutive queued [evaluate]
-      requests on the same (model, board) are served as one batch on
-      one fork, each under its own error handler: a request that fails
-      answers its own recipients, and the rest of the batch is still
-      answered.
+      the I/O systhreads on the main domain stay responsive).  Every
+      worker runs one path for every request: pop it, pick up its
+      coalesced waiters, refuse the recipients whose deadline has
+      passed, and run it once under its own error handler for the
+      rest.  Each worker owns its {!Mccm.Eval_session}s, one per
+      (model, board) content key, created on first use and kept warm
+      for the daemon's lifetime, at most [max_sessions] per worker.
     - {b Drain} — {!stop} (also reachable via the [shutdown] op or a
       signal handler; it only flips an atomic, so it is safe from a
       signal context) stops the accept loop, closes the queue, lets the
-      workers finish everything already queued, absorbs their session
-      forks, then unblocks idle readers, joins every thread and unlinks
-      the socket.
+      workers finish everything already queued, then unblocks idle
+      readers, joins every thread and unlinks the socket.
     - {b Health} — one counter system: the lock-free lifecycle
       counters ({!counters}, the [stats] op's [counters] member) and
       the queue's depth and high-water mark ([queue_peak]) are always
@@ -60,15 +57,12 @@ type config = {
   workers : int;           (** worker domains, [>= 1] *)
   queue_capacity : int;    (** pending-request bound; default 256 *)
   max_frame_bytes : int;   (** per-frame cap; default 1 MiB *)
-  batch_limit : int;       (** max evaluate requests per batch; 1 disables *)
-  store_arch : bool;
-      (** whether sessions keep whole-arch results per request (PR 6's
-          [?store_arch] discipline); [false] keeps RSS flat under
-          sustained non-repeating load — segment and plan caches still
-          memoize *)
-  max_sessions : int;      (** parent-session registry cap; beyond it new
-                               (model, board) pairs evaluate uncached
-                               (counted by [registry_full]) *)
+  max_sessions : int;
+      (** sessions each worker holds, one per (model, board); beyond it
+          a new pair evaluates uncached, each such job counted by
+          [registry_full].  Sessions never keep whole-arch results,
+          so sustained non-repeating load keeps RSS flat while segment
+          and plan caches still memoize. *)
   cache_capacity : int;
       (** result-cache entries ({!Util.Cache} striped LRU over the raw
           evaluate payload); a hit replies from the reader thread,
@@ -92,8 +86,8 @@ type config = {
 
 val default : socket_path:string -> config
 (** Defaults: recommended-domain-count workers, queue 256, 1 MiB
-    frames, batch 16, [store_arch = false], 64 sessions, result cache
-    4096 entries, flight ring 512 x 50 ms, no telemetry files. *)
+    frames, 64 sessions per worker, result cache 4096 entries, flight
+    ring 512 x 50 ms, no telemetry files. *)
 
 type t
 
@@ -102,7 +96,8 @@ val create : config -> t
     no live daemon behind it is reclaimed.
     @raise Failure when a live daemon already serves on the path, or
     the path exceeds the [sun_path] limit.
-    @raise Invalid_argument on a non-positive [workers]/[batch_limit]. *)
+    @raise Invalid_argument on a non-positive [workers] or
+    [queue_capacity], or a negative [cache_capacity]. *)
 
 val run : t -> unit
 (** Serve until {!stop}; returns after the graceful drain completes.
@@ -119,13 +114,17 @@ val stopping : t -> bool
 val counters : t -> (string * int) list
 (** Snapshot of the internal request-lifecycle counters (always on,
     independent of {!Mccm_obs}): connections opened/closed, frames,
-    requests, enqueued/dispatched/completed, replies, batches, cache
-    hits/misses/coalesced/evictions, registry-full evaluations,
+    requests, enqueued/dispatched/completed, replies, cache
+    hits/misses/coalesced/evictions, evaluations past the session cap,
     rejections by reason, errors, write failures.  Every counter is
     monotone non-decreasing over the daemon's life. *)
 
 val queue_depth : t -> int
+
 val session_count : t -> int
+(** Sessions held across all workers, at most
+    [workers * max_sessions]. *)
+
 val config : t -> config
 
 (** {1 Test scaffolding} *)

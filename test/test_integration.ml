@@ -309,8 +309,15 @@ let cli_status args =
 
 (* Counts below the daemon's floors are usage errors (cmdliner's exit
    124) caught while the arguments are parsed, not exceptions out of
-   the library (exit 125); the floors themselves are accepted. *)
+   the library (exit 125); the floors themselves are accepted.  A
+   [serve] count below its floor is refused before a socket is bound
+   (the accepted floors would start a daemon, so they are not run). *)
 let test_cli_count_floors () =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mccm-floors-%d.sock" (Unix.getpid ()))
+  in
   List.iter
     (fun (expected, args) ->
       check (String.concat " " args) expected (cli_status args))
@@ -322,6 +329,18 @@ let test_cli_count_floors () =
         [ "enumerate"; "-m"; "MobV2"; "-b"; "VCU108"; "-c"; "2";
           "--max-specs"; "1" ] );
       (0, [ "explore"; "-m"; "MobV2"; "-b"; "VCU108"; "-n"; "1" ]);
+    ];
+  List.iter
+    (fun flag ->
+      let args = [ "serve"; "--socket"; sock; flag ] in
+      check (String.concat " " args) 124 (cli_status args);
+      checkb (flag ^ ": no socket bound") false (Sys.file_exists sock))
+    [
+      "--queue-cap=0";
+      "--max-frame=0";
+      "--cache-capacity=-1";
+      "--flight-cap=-1";
+      "--workers=-1";
     ]
 
 (* An architecture with more CEs than the board has DSPs is an input

@@ -1,8 +1,9 @@
 (* Tests for the mccm evaluation daemon: endpoint round-trips over a
    real Unix socket, the concurrency bit-exactness property (server
    replies are bit-identical to sequential in-process evaluation, for
-   any mix of concurrent and batched requests), deadline and
-   backpressure semantics, batching, and graceful drain.
+   any mix of concurrent and queued requests), deadline and
+   backpressure semantics, the worker path and its session cap, and
+   graceful drain.
 
    Every daemon here runs in-process ({!Serve.Daemon.spawn}) on a
    private socket under a fresh temp path, so suites never interfere
@@ -241,7 +242,7 @@ let test_validate_round_trip () =
 (* --------------------------------------- concurrency bit-exactness *)
 
 (* The acceptance property: whatever the interleaving — concurrent
-   clients, pipelined frames, worker batching — every reply is
+   clients, pipelined frames, two workers — every reply is
    bit-identical to sequential single-process evaluation of the same
    case.  Cases mix the committed corpus (synthetic models, raw
    boards; exact round-trip serialisation) with fresh generated ones. *)
@@ -266,7 +267,7 @@ let test_concurrent_bit_exact () =
       cases
   in
   with_daemon
-    ~configure:(fun c -> { c with Serve.Daemon.workers = 2; batch_limit = 4 })
+    ~configure:(fun c -> { c with Serve.Daemon.workers = 2 })
     (fun cfg _d ->
       let n_threads = 4 in
       let failures = Atomic.make 0 in
@@ -389,12 +390,11 @@ let test_backpressure_overloaded () =
                   | Error msg -> Alcotest.failf "filler reply: %s" msg)
                 [ (); (); () ])))
 
-(* ---------------------------------------------------------- batching *)
+(* ------------------------------------------------------- worker path *)
 
-let test_batching () =
+let test_pipelined_evaluates () =
   with_daemon
-    ~configure:(fun c ->
-      { c with Serve.Daemon.workers = 1; batch_limit = 8 })
+    ~configure:(fun c -> { c with Serve.Daemon.workers = 1 })
     (fun cfg d ->
       let model = Option.get (Cnn.Model_zoo.by_abbreviation "MobV2") in
       let board = Option.get (Platform.Board.by_name "VCU108") in
@@ -415,7 +415,7 @@ let test_batching () =
                 "worker occupied" true
                 (wait_until (fun () -> counter d "dispatched" >= 1));
               (* Pipeline the evaluates while the worker sleeps: they
-                 queue back-to-back and are served as one batch. *)
+                 queue back-to-back and are each served in turn. *)
               List.iteri
                 (fun i a ->
                   Result.get_ok
@@ -464,16 +464,13 @@ let test_batching () =
                   in
                   check_metrics (List.nth archs i) want m)
                 expected;
-              Alcotest.(check bool)
-                "served as a batch" true
-                (counter d "batches" >= 1 && counter d "batched" >= 2);
               ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))))
 
-(* Every unit of a batch is evaluated under its own handler: a unit
-   whose evaluation fails answers its own recipients (its coalesced
-   twin included) with its own error, and the other units of the batch
-   still get their results. *)
-let test_batch_unit_failure () =
+(* Every request runs under its own handler: one whose evaluation
+   fails answers its own recipients (its coalesced twin included) with
+   its own error, and the requests queued next to it still get their
+   results. *)
+let test_failing_request () =
   let over_budget = "{L1-L52:CE1-CE1000, L53-L53:CE1001}" in
   let model = Option.get (Cnn.Model_zoo.by_abbreviation "Res50") in
   let board = Option.get (Platform.Board.by_name "ZC706") in
@@ -513,27 +510,70 @@ let test_batch_unit_failure () =
               done;
               (match Hashtbl.find_opt got (Some 0) with
               | Some (Ok r) ->
-                check_metrics "good unit" expected
+                check_metrics "good request" expected
                   (Result.get_ok
                      (Serve.Protocol.metrics_of_json
                         (Option.get (Json.member "metrics" r))))
               | Some (Error (code, msg)) ->
-                Alcotest.failf "good unit answered %s: %s" code msg
-              | None -> Alcotest.fail "good unit got no reply");
+                Alcotest.failf "good request answered %s: %s" code msg
+              | None -> Alcotest.fail "good request got no reply");
               List.iter
                 (fun i ->
                   match Hashtbl.find_opt got (Some i) with
                   | Some (Error ("bad_params", _)) -> ()
                   | Some (Error (code, _)) ->
-                    Alcotest.failf "bad unit %d answered %s" i code
-                  | Some (Ok _) -> Alcotest.failf "bad unit %d evaluated" i
-                  | None -> Alcotest.failf "bad unit %d got no reply" i)
+                    Alcotest.failf "bad request %d answered %s" i code
+                  | Some (Ok _) -> Alcotest.failf "bad request %d evaluated" i
+                  | None -> Alcotest.failf "bad request %d got no reply" i)
                 [ 1; 2 ];
               Alcotest.(check int) "one coalesced" 1
                 (counter d "cache_coalesced");
               Alcotest.(check int) "each error reply counted" 2
                 (counter d "errors_bad_params");
               ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))))
+
+(* One worker holding at most one session: the first (model, board)
+   takes the slot, each evaluate on another pair runs uncached and is
+   counted, and the first pair's session keeps serving.  Uncached or
+   not, every reply is bit-exact. *)
+let test_session_cap () =
+  with_daemon
+    ~configure:(fun c ->
+      { c with Serve.Daemon.workers = 1; max_sessions = 1 })
+    (fun cfg d ->
+      with_client cfg (fun c ->
+          List.iter
+            (fun (m, b, a) ->
+              let model = Option.get (Cnn.Model_zoo.by_abbreviation m) in
+              let board = Option.get (Platform.Board.by_name b) in
+              let expected =
+                Mccm.Evaluate.metrics model board
+                  (Result.get_ok (Arch.Shorthand.parse model a))
+              in
+              let got =
+                ok_exn "evaluate"
+                  (Serve.Client.evaluate ~timeout_s:60.0 ~cache:false c
+                     ~model:m ~board:b ~arch:a)
+              in
+              check_metrics (Printf.sprintf "%s/%s/%s" m b a) expected got)
+            [
+              ("MobV2", "VCU108", "hybrid/4");
+              ("Res50", "ZC706", "hybrid/3");
+              ("Res50", "ZC706", "segmented/2");
+              ("MobV2", "VCU108", "segmented/3");
+            ];
+          Alcotest.(check int) "registry_full" 2 (counter d "registry_full");
+          Alcotest.(check int) "session_count" 1 (Serve.Daemon.session_count d);
+          List.iter
+            (fun (what, reply) ->
+              Alcotest.(check (option int))
+                (what ^ " sessions") (Some 1)
+                (Option.bind (Json.member "sessions" (ok_exn what reply))
+                   Json.int_))
+            [
+              ("stats", Serve.Client.stats ~timeout_s:30.0 c);
+              ("health", Serve.Client.health ~timeout_s:30.0 c);
+            ]))
 
 (* ------------------------------------------------------------- drain *)
 
@@ -1033,12 +1073,15 @@ let () =
           Alcotest.test_case "full queue: overloaded + counter" `Quick
             test_backpressure_overloaded;
         ] );
-      ( "batching",
+      ( "worker path",
         [
-          Alcotest.test_case "consecutive evaluates batched" `Quick
-            test_batching;
-          Alcotest.test_case "a failing unit answers only its own recipients"
-            `Quick test_batch_unit_failure;
+          Alcotest.test_case "pipelined evaluates behind a busy worker" `Quick
+            test_pipelined_evaluates;
+          Alcotest.test_case
+            "one failing request answers only its own recipients" `Quick
+            test_failing_request;
+          Alcotest.test_case "past the session cap evaluates uncached" `Quick
+            test_session_cap;
         ] );
       ( "telemetry",
         [

@@ -4,10 +4,9 @@
    a wall-clock budget (MCCM_SOAK_SECONDS, default ~2 s locally; CI
    runs longer) and then checks the daemon's health ledger: zero
    dropped connections, zero transport errors, every internal counter
-   monotone non-decreasing throughout, the batch ledger consistent
-   ([2 * batches <= batched <= dispatched]), and a flat RSS — the
-   [?store_arch:false] discipline means sustained non-repeating load
-   must not grow the session caches without bound.
+   monotone non-decreasing throughout, and a flat RSS — sessions never
+   keep whole-arch results, so sustained non-repeating load must not
+   grow them without bound.
 
    Phase 2 initiates a graceful drain mid-traffic and requires every
    in-flight client to see only complete replies, structured
@@ -45,9 +44,9 @@ let rss_kb () =
   v
 
 (* The request mix: cheap control ops, repeated and non-repeating
-   evaluates (distinct (model, board) keys exercise the session
-   registry; distinct archs under store_arch=false exercise the flat
-   footprint), and short sleeps to keep the queue non-trivial. *)
+   evaluates (distinct (model, board) keys exercise the workers'
+   session tables; distinct archs exercise the flat footprint), and
+   short sleeps to keep the queue non-trivial. *)
 let mix =
   [|
     `Evaluate ("MobV2", "VCU108", "hybrid/4");
@@ -197,16 +196,6 @@ let test_soak () =
   Alcotest.(check bool)
     "cache churned at full capacity" true
     (get "cache_evictions" > 0);
-  (* Every batch holds at least two units and every unit is a
-     dispatched request; two workers finishing batches together must
-     not lose a [batched] update. *)
-  let batches = get "batches" and batched = get "batched" in
-  let dispatched = get "dispatched" in
-  Alcotest.(check bool)
-    (Printf.sprintf "2 * batches <= batched <= dispatched (%d, %d, %d)"
-       batches batched dispatched)
-    true
-    (2 * batches <= batched && batched <= dispatched);
   Serve.Daemon.shutdown h;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
 
