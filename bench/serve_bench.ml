@@ -64,9 +64,8 @@ let parse_argv () =
   o
 
 (* The request mix rotates a handful of distinct designs on one
-   (model, board): sessions keep no whole-arch results, so this
-   measures the daemon's steady-state serve path (session reuse), not
-   a cache replay of a single architecture. *)
+   (model, board), so this measures the daemon's steady-state serve
+   path (session reuse), not a cache replay of a single architecture. *)
 let archs =
   [| "hybrid/2"; "hybrid/3"; "hybrid/4"; "segmented/2"; "segmented/3";
      "segmentedrr/3" |]

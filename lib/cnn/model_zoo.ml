@@ -286,10 +286,19 @@ let vgg16 () =
 let all () =
   [ resnet152 (); resnet50 (); xception (); densenet121 (); mobilenet_v2 () ]
 
-let extended () = all () @ [ efficientnet_b0 (); mnasnet_a1 (); vgg16 () ]
+(* Each generator under the abbreviation its model carries, so a lookup
+   builds only the model it returns. *)
+let generators =
+  [ ("Res152", resnet152); ("Res50", resnet50); ("XCp", xception);
+    ("Dns121", densenet121); ("MobV2", mobilenet_v2);
+    ("EffB0", efficientnet_b0); ("MnasA1", mnasnet_a1); ("VGG16", vgg16) ]
+
+let extended () = List.map (fun (_, generate) -> generate ()) generators
 
 let by_abbreviation s =
   let target = String.lowercase_ascii s in
-  List.find_opt
-    (fun m -> String.lowercase_ascii m.Model.abbreviation = target)
-    (extended ())
+  List.find_map
+    (fun (abbreviation, generate) ->
+      if String.lowercase_ascii abbreviation = target then Some (generate ())
+      else None)
+    generators

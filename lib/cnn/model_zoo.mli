@@ -53,4 +53,5 @@ val extended : unit -> Model.t list
 val by_abbreviation : string -> Model.t option
 (** [by_abbreviation s] looks a model up by its short name (["Res152"],
     ["Res50"], ["XCp"], ["Dns121"], ["MobV2"], ["EffB0"], ["MnasA1"], ["VGG16"]);
-    case-insensitive; searches {!extended}. *)
+    case-insensitive, over the models of {!extended}.  Only the matching
+    model is built. *)

@@ -54,7 +54,7 @@ let warm_strided ~session ~buf ~width ~n model =
   let i = ref 0 in
   while !i < n do
     ignore
-      (Mccm.Eval_session.metrics ~store_arch:false session
+      (Mccm.Eval_session.metrics session
          (Arch.Custom.arch_of_spec model (Space.Flat.decode buf ~width !i)));
     i := !i + stride
   done
@@ -79,7 +79,7 @@ let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
     for i = lo to hi - 1 do
       let spec = Space.Flat.decode buf ~width i in
       let archi = Arch.Custom.arch_of_spec model spec in
-      let metrics = Mccm.Eval_session.metrics ~store_arch:false session archi in
+      let metrics = Mccm.Eval_session.metrics session archi in
       if metrics.Mccm.Metrics.feasible then
         out := { Explore.spec; metrics } :: !out
     done;
@@ -154,7 +154,7 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
         incr evaluated;
         let spec = Space.Flat.decode buf ~width i in
         let m =
-          Mccm.Eval_session.metrics ~store_arch:false session
+          Mccm.Eval_session.metrics session
             (Arch.Custom.arch_of_spec model spec)
         in
         let s = score m in

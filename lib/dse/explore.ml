@@ -22,10 +22,8 @@ let point (e : evaluated) =
     objective_down = float_of_int e.metrics.Mccm.Metrics.buffer_bytes;
   }
 
-(* Evaluate a contiguous slice of the pre-drawn spec array, keeping
-   draw order.  Every draw goes through the session — a duplicate is
-   exactly the arch-cache hit the session exists to serve — and the
-   feasibility split happens later, on assembly. *)
+(* Evaluate a contiguous slice of the distinct spec array, keeping
+   draw order; the feasibility split happens later, on assembly. *)
 let eval_slice ~session ~specs ~lo ~hi model =
   Mccm_obs.span ~cat:"dse" "dse.eval_slice"
     ~args:[ ("designs", string_of_int (hi - lo)) ]
@@ -54,22 +52,30 @@ let run ?(seed = 42L) ?(ce_counts = Arch.Baselines.default_ce_counts)
   (* Sampling is decoupled from evaluation: the whole design set is drawn
      up front from one PRNG stream, so the sampled set — and hence the
      result — depends only on [seed], never on how many domains evaluate
-     it (evaluation itself is pure). *)
-  let drawn =
+     it (evaluation itself is pure).  Only each distinct design's first
+     occurrence is kept, in draw order, so each is evaluated once. *)
+  let specs =
     Mccm_obs.span ~cat:"dse" "dse.draw" (fun () ->
         let rng = Util.Prng.create ~seed in
         let num_layers = Cnn.Model.num_layers model in
-        Array.init samples (fun _ ->
-            Space.random_spec rng ~num_layers ~ce_counts))
+        let seen = Hashtbl.create (2 * samples) in
+        let fresh = ref [] in
+        for _ = 1 to samples do
+          let spec = Space.random_spec rng ~num_layers ~ce_counts in
+          if not (Hashtbl.mem seen spec) then begin
+            Hashtbl.add seen spec ();
+            fresh := spec :: !fresh
+          end
+        done;
+        Array.of_list (List.rev !fresh))
   in
+  let distinct = Array.length specs in
   Mccm_obs.Metric.add c_sampled samples;
-  (* Every draw is evaluated through the session: a repeated spec is an
-     arch-cache hit, not a precomputed skip, so the session's hit-rate
-     statistics measure real duplication and a warm session keeps paying
-     off across runs.  Dedup happens on assembly below. *)
+  Mccm_obs.Metric.add c_distinct distinct;
+  Mccm_obs.Metric.add c_duplicates (samples - distinct);
   let all =
     Mccm_obs.span ~cat:"dse" "dse.eval"
-      ~args:[ ("designs", string_of_int samples) ]
+      ~args:[ ("designs", string_of_int distinct) ]
     @@ fun () ->
     (* Contiguous chunks, concatenated back in order.  Each pool worker
        evaluates on its own session fork (the tables are not
@@ -80,41 +86,24 @@ let run ?(seed = 42L) ?(ce_counts = Arch.Baselines.default_ce_counts)
        chunking. *)
     Crew.with_crew ?pool ?clamp ~domains session (fun crew ->
         Crew.warmup crew (fun () ->
-            let stride = max 1 (samples / 16) in
+            let stride = max 1 (distinct / 16) in
             let i = ref 0 in
-            while !i < samples do
+            while !i < distinct do
               ignore
                 (Mccm.Eval_session.metrics session
-                   (Arch.Custom.arch_of_spec model drawn.(!i)));
+                   (Arch.Custom.arch_of_spec model specs.(!i)));
               i := !i + stride
             done);
         List.concat
-          (Crew.map crew ~n:samples (fun ~session ~lo ~hi ->
-               eval_slice ~session ~specs:drawn ~lo ~hi model)))
+          (Crew.map crew ~n:distinct (fun ~session ~lo ~hi ->
+               eval_slice ~session ~specs ~lo ~hi model)))
   in
-  (* Keep each distinct design's first occurrence; feasible ones make
-     the result.  [sampled] still counts every draw, so the dedup ratio
-     and the seed-determinism contract are unchanged. *)
-  let seen = Hashtbl.create (2 * samples) in
-  let evaluated =
-    List.filter
-      (fun e ->
-        if Hashtbl.mem seen e.spec then false
-        else begin
-          Hashtbl.add seen e.spec ();
-          if e.metrics.Mccm.Metrics.feasible then begin
-            Mccm_obs.Metric.incr c_feasible;
-            Mccm_obs.Metric.update_max g_best
-              e.metrics.Mccm.Metrics.throughput_ips;
-            true
-          end
-          else false
-        end)
-      all
-  in
-  let distinct = Hashtbl.length seen in
-  Mccm_obs.Metric.add c_distinct distinct;
-  Mccm_obs.Metric.add c_duplicates (samples - distinct);
+  let evaluated = List.filter (fun e -> e.metrics.Mccm.Metrics.feasible) all in
+  List.iter
+    (fun e ->
+      Mccm_obs.Metric.incr c_feasible;
+      Mccm_obs.Metric.update_max g_best e.metrics.Mccm.Metrics.throughput_ips)
+    evaluated;
   let elapsed_s = Unix.gettimeofday () -. started in
   {
     sampled = samples;

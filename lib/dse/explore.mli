@@ -31,13 +31,13 @@ val run :
   Platform.Board.t ->
   result
 (** [run ~samples model board] draws custom designs uniformly (CE counts
-    default to the paper's 2-11), evaluates each with the analytical
-    model, and extracts the throughput/buffer Pareto front.  Every draw
-    goes through [session] — a duplicate is an architecture-cache hit,
-    so the session's hit-rate statistics reflect real duplication — and
-    [evaluated] keeps each distinct design's first occurrence, feasible
-    ones only.  Deterministic for a fixed [seed] (default 42),
-    independent of [domains], [pool] and of [session] warmth.
+    default to the paper's 2-11), evaluates each distinct design once
+    with the analytical model (a duplicate draw is dropped before
+    evaluation, so [stats.evaluations] grows by [distinct]), and
+    extracts the throughput/buffer Pareto front.  [evaluated] keeps
+    each distinct design's first occurrence, feasible ones only.
+    Deterministic for a fixed [seed] (default 42), independent of
+    [domains], [pool] and of [session] warmth.
 
     [domains] (default 1) spreads the evaluation over a {!Crew}: one
     warm session fork per pool worker, deterministic contiguous chunks
@@ -52,9 +52,13 @@ val run :
 
     [session] (default: a fresh one) memoizes evaluation across the
     sweep and across calls — pass one session to successive runs on the
-    same (model, board) to keep its caches warm.  With a multi-worker
-    crew each worker evaluates on a {!Mccm.Eval_session.fork}, merged
-    back at the end.
+    same (model, board) to keep its caches warm.  A design revisited by
+    a later run is served by the session's segment and planning-floor
+    caches: it adds no misses to either, so the session does not grow.
+    With a multi-worker crew each worker evaluates on a
+    {!Mccm.Eval_session.fork}, merged back at the end (the strided
+    warm-up before the forks adds its evaluations to the session's
+    count).
     @raise Invalid_argument if [session] is bound to a different
     model or board ({!Mccm.Eval_session.check}). *)
 

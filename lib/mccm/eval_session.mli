@@ -4,15 +4,16 @@
     memoizes the expensive pure stages of {!Evaluate.evaluate} across
     candidate architectures:
 
-    - whole architectures, keyed by block structure (style, blocks,
-      coarse pipelining — the display name is excluded, so renamed
-      twins share one evaluation);
     - per-segment model results ({!Seg_cache}), shared between distinct
       architectures that agree on a block's layer range, engines, plan
       slice and boundary flags — a local-search move that shifts one
       boundary recomputes only the blocks it touches;
     - the builder's planning floors ({!Builder.Buffer_alloc}), sharing
       the pipelined tile search the same way at build time.
+
+    A repeat of an architecture (or of a renamed twin with the same
+    blocks) is rebuilt and re-modelled, every block a hit in both
+    tables.
 
     Every cache key carries its full structural payload next to a
     precomputed content fingerprint, so hits are bit-identical to fresh
@@ -56,16 +57,12 @@ val check : fn:string -> t -> Cnn.Model.t -> Platform.Board.t -> unit
     session.
     @raise Invalid_argument naming [fn] otherwise. *)
 
-val evaluate : ?store_arch:bool -> t -> Arch.Block.arch -> Evaluate.t
+val evaluate : t -> Arch.Block.arch -> Evaluate.t
 (** [evaluate t archi] is [Evaluate.evaluate (model t) (board t) archi]
-    (under the session's build options), served from the caches when
-    possible.  [store_arch] (default [true]) controls whether a miss is
-    added to the whole-architecture table; pass [false] from callers
-    that never revisit a candidate (exhaustive enumeration) to keep the
-    session's footprint flat — the segment and builder caches still
-    memoize, and results are bit-identical either way. *)
+    (under the session's build options), with its segments and planning
+    floors served from the caches when possible. *)
 
-val metrics : ?store_arch:bool -> t -> Arch.Block.arch -> Metrics.t
+val metrics : t -> Arch.Block.arch -> Metrics.t
 (** [(evaluate t archi).metrics]. *)
 
 val fork : t -> t
@@ -80,15 +77,17 @@ val absorb : into:t -> t -> unit
 
 type stats = {
   evaluations : int;  (** requests served, cached or not *)
-  arch_hits : int;    (** served from the whole-architecture table *)
+  arch_hits : int;
+      (** always 0.  Kept because [perfbench/] reads it; remove it with
+          the next change to the benchmark. *)
   seg_hits : int;
-  seg_misses : int;   (** segment-model lookups on arch misses *)
+  seg_misses : int;
   seg_single : int * int;
       (** (hits, misses) for single-CE segments alone *)
   seg_pipelined : int * int;
       (** (hits, misses) for pipelined blocks alone *)
   plan_hits : int;
-  plan_misses : int;  (** planning-floor lookups on arch misses *)
+  plan_misses : int;
 }
 
 val stats : t -> stats

@@ -441,46 +441,3 @@ let pp ppf s =
     Format.fprintf ppf "@,%s" (String.trim (Util.Table.render hists))
   end;
   Format.fprintf ppf "@]"
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json_string s =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.bprintf b fmt in
-  let obj fields emit =
-    add "{";
-    List.iteri
-      (fun i x ->
-        if i > 0 then add ", ";
-        emit x)
-      fields;
-    add "}"
-  in
-  add "{\"counters\": ";
-  obj s.counters (fun (name, v) -> add "\"%s\": %d" (json_escape name) v);
-  add ", \"gauges\": ";
-  obj s.gauges (fun (name, v) -> add "\"%s\": %.9g" (json_escape name) v);
-  add ", \"histograms\": ";
-  obj
-    (List.filter (fun (_, h) -> h.count > 0) s.histograms)
-    (fun (name, h) ->
-      add
-        "\"%s\": {\"count\": %d, \"sum\": %.9g, \"min\": %.9g, \"max\": \
-         %.9g, \"p50\": %.9g, \"p95\": %.9g, \"p99\": %.9g}"
-        (json_escape name) h.count h.sum h.min h.max
-        (quantile h ~q:0.50) (quantile h ~q:0.95) (quantile h ~q:0.99));
-  add "}";
-  Buffer.contents b

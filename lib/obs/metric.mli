@@ -115,9 +115,3 @@ val pp : Format.formatter -> snapshot -> unit
     fully deterministic: every block is sorted by name regardless of
     the order the caller assembled the snapshot in (pinned by a golden
     test). *)
-
-val to_json_string : snapshot -> string
-(** Legacy compact rendering with precomputed quantiles: [{"counters":
-    {..}, "gauges": {..}, "histograms": {name: {count, sum, min, max,
-    p50, p95, p99}}}] at [%.9g].  Lossy; prefer {!to_json} for
-    anything that needs to decode. *)

@@ -814,7 +814,7 @@ let run_job t sessions w =
   | J_eval archi ->
     let m =
       match worker_session t sessions w with
-      | Some s -> Mccm.Eval_session.metrics ~store_arch:false s archi
+      | Some s -> Mccm.Eval_session.metrics s archi
       | None ->
         Mccm.Evaluate.metrics (Option.get w.w_model) (Option.get w.w_board)
           archi
@@ -1109,63 +1109,56 @@ let handle_frame t conn line =
 (* -------------------------------------------------- connection loop *)
 
 let conn_loop t conn =
-  let chunk = Bytes.create 65536 in
-  let acc = Buffer.create 4096 in
+  (* Reads land in one growable buffer whose front [0, !len) holds the
+     head of an unfinished frame.  Only the newly read bytes are searched
+     for newlines, and each frame is copied out once.  After an
+     oversized frame, bytes are dropped up to the next newline, then
+     parsing resumes. *)
+  let buf = ref (Bytes.create 65536) in
+  let len = ref 0 in
   let discard = ref false in
-  let process_data data =
-    (* In discard mode (after an oversized frame) bytes are dropped up
-       to the next newline, then parsing resumes. *)
-    let data =
-      if not !discard then data
-      else
-        match String.index_opt data '\n' with
-        | None -> ""
-        | Some i ->
-          discard := false;
-          String.sub data (i + 1) (String.length data - i - 1)
+  let oversized () =
+    incr t.c.frames;
+    incr t.c.rejected_oversized;
+    reply_error t conn ~id:Json.Null Protocol.Oversized_frame
+      (Printf.sprintf "frame exceeds %d bytes" t.cfg.max_frame_bytes)
+  in
+  let frame ~first ~last =
+    (* Tolerate CRLF clients. *)
+    let last =
+      if last > first && Bytes.get !buf (last - 1) = '\r' then last - 1
+      else last
     in
-    if data <> "" then begin
-      Buffer.add_string acc data;
-      let rec split () =
-        let s = Buffer.contents acc in
-        match String.index_opt s '\n' with
-        | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear acc;
-          Buffer.add_substring acc s (i + 1) (String.length s - i - 1);
-          let line =
-            (* Tolerate CRLF clients. *)
-            if String.length line > 0 && line.[String.length line - 1] = '\r'
-            then String.sub line 0 (String.length line - 1)
-            else line
-          in
-          if line <> "" then
-            if String.length line > t.cfg.max_frame_bytes then begin
-              incr t.c.frames;
-              incr t.c.rejected_oversized;
-              reply_error t conn ~id:Json.Null Protocol.Oversized_frame
-                (Printf.sprintf "frame exceeds %d bytes" t.cfg.max_frame_bytes)
-            end
-            else handle_frame t conn line;
-          split ()
-        | None ->
-          if Buffer.length acc > t.cfg.max_frame_bytes then begin
-            incr t.c.frames;
-            incr t.c.rejected_oversized;
-            reply_error t conn ~id:Json.Null Protocol.Oversized_frame
-              (Printf.sprintf "frame exceeds %d bytes" t.cfg.max_frame_bytes);
-            Buffer.clear acc;
-            discard := true
-          end
-      in
-      split ()
+    let n = last - first in
+    if n > t.cfg.max_frame_bytes then oversized ()
+    else if n > 0 then handle_frame t conn (Bytes.sub_string !buf first n)
+  in
+  let process_read n =
+    let stop = !len + n in
+    let first = ref 0 in
+    for i = !len to stop - 1 do
+      if Bytes.get !buf i = '\n' then begin
+        if !discard then discard := false else frame ~first:!first ~last:i;
+        first := i + 1
+      end
+    done;
+    if !discard then len := 0
+    else begin
+      len := stop - !first;
+      if !first > 0 then Bytes.blit !buf !first !buf 0 !len;
+      if !len > t.cfg.max_frame_bytes then begin
+        oversized ();
+        len := 0;
+        discard := true
+      end
     end
   in
   let rec loop () =
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+    if !len = Bytes.length !buf then buf := Bytes.extend !buf 0 !len;
+    match Unix.read conn.fd !buf !len (Bytes.length !buf - !len) with
     | 0 -> ()
     | n ->
-      process_data (Bytes.sub_string chunk 0 n);
+      process_read n;
       loop ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ -> ()

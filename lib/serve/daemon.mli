@@ -60,9 +60,8 @@ type config = {
   max_sessions : int;
       (** sessions each worker holds, one per (model, board); beyond it
           a new pair evaluates uncached, each such job counted by
-          [registry_full].  Sessions never keep whole-arch results,
-          so sustained non-repeating load keeps RSS flat while segment
-          and plan caches still memoize. *)
+          [registry_full].  A session caches segments and planning
+          floors only, so sustained non-repeating load keeps RSS flat. *)
   cache_capacity : int;
       (** result-cache entries ({!Util.Cache} striped LRU over the raw
           evaluate payload); a hit replies from the reader thread,

@@ -16,18 +16,12 @@ let int h v = (h lxor v) * prime
 
 let bool h b = int h (if b then 1 else 0)
 
-let float h f = int h (Int64.to_int (Int64.bits_of_float f))
-
 let string h s =
   let h = ref (int h (String.length s)) in
   String.iter (fun c -> h := int !h (Char.code c)) s;
   !h
 
-let list f h l = List.fold_left f (int h (List.length l)) l
-
 let array f h a = Array.fold_left f (int h (Array.length a)) a
-
-let pair f g h (a, b) = g (f h a) b
 
 let to_int h =
   let h = h lxor (h lsr 33) in

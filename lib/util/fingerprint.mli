@@ -17,15 +17,9 @@ val empty : t
 val int : t -> int -> t
 val bool : t -> bool -> t
 
-val float : t -> float -> t
-(** Folds the IEEE-754 bit pattern, so [0.0] and [-0.0] differ and NaNs
-    hash stably. *)
-
 val string : t -> string -> t
 
-val list : (t -> 'a -> t) -> t -> 'a list -> t
 val array : (t -> 'a -> t) -> t -> 'a array -> t
-val pair : (t -> 'a -> t) -> (t -> 'b -> t) -> t -> 'a * 'b -> t
 
 val to_int : t -> int
 (** Non-negative native-int digest (both 64-bit halves folded in);

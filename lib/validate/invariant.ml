@@ -239,8 +239,8 @@ let cache_exact =
     check =
       (fun ctx ->
         (* Run the case twice through a fresh memoized session: the first
-           evaluation exercises the segment/plan caches bottom-up, the
-           second is a whole-architecture hit.  Both must equal the
+           evaluation fills the segment/plan caches bottom-up, the second
+           is served by them, every block a hit.  Both must equal the
            uncached reference bit for bit — the session contract is that
            caching is semantically invisible. *)
         let session =

@@ -7,7 +7,7 @@
     - {b sanity}: metrics are positive and finite; a feasible plan fits
       its board's BRAM.
     - {b cache-exact}: replaying the case twice through a fresh
-      {!Mccm.Eval_session} (cold caches, then a whole-architecture hit)
+      {!Mccm.Eval_session} (cold caches, then served by them)
       returns metrics bit-identical to the uncached evaluation.
     - {b sim-dominates}: the realistic simulator can only be slower than
       the analytical lower bound; byte counts replay exactly; discrete

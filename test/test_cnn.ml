@@ -208,7 +208,16 @@ let test_zoo_depthwise_presence () =
 let test_zoo_lookup () =
   checkb "res50" true (Cnn.Model_zoo.by_abbreviation "res50" <> None);
   checkb "XCP case-insensitive" true (Cnn.Model_zoo.by_abbreviation "XCP" <> None);
-  checkb "unknown" true (Cnn.Model_zoo.by_abbreviation "nope" = None)
+  checkb "unknown" true (Cnn.Model_zoo.by_abbreviation "nope" = None);
+  (* Every extended-zoo name, in mixed case, builds its own model. *)
+  List.iter
+    (fun (name, generate) ->
+      checkb name true (Cnn.Model_zoo.by_abbreviation name = Some (generate ())))
+    [ ("rES152", Cnn.Model_zoo.resnet152); ("rEs50", Cnn.Model_zoo.resnet50);
+      ("xcP", Cnn.Model_zoo.xception); ("dNS121", Cnn.Model_zoo.densenet121);
+      ("mObv2", Cnn.Model_zoo.mobilenet_v2);
+      ("EFFb0", Cnn.Model_zoo.efficientnet_b0);
+      ("mNASa1", Cnn.Model_zoo.mnasnet_a1); ("vgG16", Cnn.Model_zoo.vgg16) ]
 
 let test_zoo_input_shapes () =
   checkb "imagenet input" true

@@ -244,19 +244,42 @@ let test_explore_dedupes_duplicates () =
          (s.Arch.Custom.pipelined_layers, s.Arch.Custom.tail_boundaries))
        r.Dse.Explore.front)
 
-let test_explore_session_serves_duplicates () =
-  (* Regression for the cached-arm fix: every draw goes through one
-     shared evaluation session, so a redrawn design must be served from
-     the session's whole-architecture cache rather than rebuilt.  With
-     CE count pinned to 2 the slice holds exactly one design, so a
-     60-sample run is 1 miss + 59 arch-cache hits. *)
+let test_explore_evaluates_distinct_once () =
+  (* A duplicate draw is dropped before evaluation.  With CE count
+     pinned to 2 the slice holds exactly one design, so a 60-sample run
+     evaluates it once. *)
   let r =
     Dse.Explore.run ~seed:21L ~samples:60 ~ce_counts:[ 2 ] mobv2
       Platform.Board.vcu110
   in
   check "sampled" 60 r.Dse.Explore.sampled;
   check "distinct" 1 r.Dse.Explore.distinct;
-  check "arch hits" 59 r.Dse.Explore.stats.Mccm.Eval_session.arch_hits
+  check "evaluations" 1 r.Dse.Explore.stats.Mccm.Eval_session.evaluations
+
+let test_explore_repeat_on_session () =
+  (* A second explore with the same seed on one session, as a daemon
+     worker serves repeated requests: its designs come out of the
+     segment and plan tables, so the session does not grow, and the
+     result is the same. *)
+  let session = Mccm.Eval_session.create mobv2 Platform.Board.vcu110 in
+  let run () =
+    Dse.Explore.run ~seed:5L ~samples:300 ~session mobv2 Platform.Board.vcu110
+  in
+  let view r =
+    ( r.Dse.Explore.sampled,
+      r.Dse.Explore.distinct,
+      r.Dse.Explore.evaluated,
+      r.Dse.Explore.front )
+  in
+  let misses r =
+    let st = r.Dse.Explore.stats in
+    (st.Mccm.Eval_session.seg_misses, st.Mccm.Eval_session.plan_misses)
+  in
+  let r1 = run () in
+  let r2 = run () in
+  checkb "same result" true (view r1 = view r2);
+  Alcotest.(check (pair int int))
+    "no new segment or plan misses" (misses r1) (misses r2)
 
 let test_improvement_over_self () =
   let r = Dse.Explore.run ~seed:3L ~samples:100 mobv2 Platform.Board.vcu110 in
@@ -482,8 +505,10 @@ let () =
           Alcotest.test_case "front subset" `Quick test_explore_front_subset;
           Alcotest.test_case "dedupes duplicate draws" `Quick
             test_explore_dedupes_duplicates;
-          Alcotest.test_case "session serves duplicates" `Quick
-            test_explore_session_serves_duplicates;
+          Alcotest.test_case "evaluates each distinct draw once" `Quick
+            test_explore_evaluates_distinct_once;
+          Alcotest.test_case "repeat run adds no cache misses" `Quick
+            test_explore_repeat_on_session;
           Alcotest.test_case "improvement over self" `Quick
             test_improvement_over_self;
           Alcotest.test_case "parallel deterministic" `Quick

@@ -100,8 +100,6 @@ let gen_wrong_shape =
       "{\"id\":1,\"op\":\"ping\",\"deadline_ms\":\"soon\"}";
     ]
 
-let valid_ping = {|{"id":7,"op":"ping"}|}
-
 (* --------------------------------------------------------- properties *)
 
 let prop_garbage_gets_one_error =
@@ -169,13 +167,21 @@ let prop_oversized_then_resync =
 let prop_interleaved_partial_writes =
   QCheck2.Test.make ~name:"interleaved partial frames across connections"
     ~count:30
-    QCheck2.Gen.(int_range 1 10)
-    (fun cuts ->
+    QCheck2.Gen.(
+      graft_corners
+        (pair (int_range 0 2) (int_range 1 10))
+        [ (2, 2) (* two whole frames plus the head of a third *) ]
+        ())
+    (fun (lead, cuts) ->
       (* Split one valid ping frame into [cuts] chunks on connection A,
-         interleaving a full valid frame on connection B between every
-         chunk.  Both connections must answer correctly: per-connection
-         buffering may never bleed across sockets. *)
-      let frame = valid_ping ^ "\n" in
+         the first chunk preceded by [lead] whole ping frames in the same
+         write, interleaving a full valid frame on connection B between
+         every chunk.  Both connections must answer correctly, A's
+         frames in order: per-connection buffering may never bleed
+         across sockets. *)
+      let ping id = Printf.sprintf {|{"id":%d,"op":"ping"}|} id ^ "\n" in
+      let frame = ping (lead + 1) in
+      let head = String.concat "" (List.init lead (fun i -> ping (i + 1))) in
       let a =
         Serve.Client.connect_exn
           (Serve.Daemon.config (daemon ())).Serve.Daemon.socket_path
@@ -196,9 +202,9 @@ let prop_interleaved_partial_writes =
           List.iter
             (fun (lo, hi) ->
               if hi > lo then begin
-                (match
-                   Serve.Client.send_bytes a (String.sub frame lo (hi - lo))
-                 with
+                let chunk = String.sub frame lo (hi - lo) in
+                let chunk = if lo = 0 then head ^ chunk else chunk in
+                (match Serve.Client.send_bytes a chunk with
                 | Ok () -> ()
                 | Error msg -> QCheck2.Test.fail_reportf "send a: %s" msg);
                 match Serve.Client.ping ~timeout_s:30.0 b with
@@ -207,7 +213,19 @@ let prop_interleaved_partial_writes =
                   QCheck2.Test.fail_reportf "b wedged: %s: %s" code msg
               end)
             bounds;
-          expect_structured_reply a "interleaved ping";
+          for id = 1 to lead + 1 do
+            match Serve.Client.recv_line ~timeout_s:30.0 a with
+            | Error msg ->
+              QCheck2.Test.fail_reportf "ping %d: no reply: %s" id msg
+            | Ok line -> (
+              match Serve.Protocol.parse_reply line with
+              | Ok { Serve.Protocol.reply_id; outcome = Ok _ }
+                when reply_id = Json.Num (float_of_int id) ->
+                ()
+              | _ ->
+                QCheck2.Test.fail_reportf "ping %d: unexpected reply %S" id
+                  line)
+          done;
           true))
 
 (* ---------------------------------------- forward compatibility: /2 *)

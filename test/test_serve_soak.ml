@@ -4,9 +4,9 @@
    a wall-clock budget (MCCM_SOAK_SECONDS, default ~2 s locally; CI
    runs longer) and then checks the daemon's health ledger: zero
    dropped connections, zero transport errors, every internal counter
-   monotone non-decreasing throughout, and a flat RSS — sessions never
-   keep whole-arch results, so sustained non-repeating load must not
-   grow them without bound.
+   monotone non-decreasing throughout, and a flat RSS — a session caches
+   segments and planning floors only, so sustained non-repeating load
+   must not grow it without bound.
 
    Phase 2 initiates a graceful drain mid-traffic and requires every
    in-flight client to see only complete replies, structured

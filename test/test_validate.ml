@@ -95,8 +95,8 @@ let test_corpus_replay () =
 
 let test_corpus_cached_bit_identical () =
   (* Every corpus case must evaluate to [Stdlib.(=)]-identical metrics
-     through a memoized session (twice, so the second request exercises
-     the whole-architecture table), an unmemoized session, and the raw
+     through a memoized session (twice, so the second request is served
+     by the segment and plan tables), an unmemoized session, and the raw
      evaluator: the caches are semantically invisible on the pinned
      regression set too. *)
   match Validate.Corpus.load corpus_path with
