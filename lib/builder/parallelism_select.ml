@@ -281,8 +281,13 @@ let floor_lock = Mutex.create ()
 
 let cycle_floor ~pes table i =
   if pes < 1 then invalid_arg "Parallelism_select.cycle_floor: pes < 1";
-  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
-  let k2 = ekh * ekw in
+  let ef = Cnn.Table.filters_extent table i
+  and ec = Cnn.Table.channels_extent table i
+  and eh = Cnn.Table.height_extent table i
+  and ew = Cnn.Table.width_extent table i in
+  let k2 =
+    Cnn.Table.kernel_h_extent table i * Cnn.Table.kernel_w_extent table i
+  in
   let key = (pes, ef, ec, eh, ew, k2) in
   let cached =
     Mutex.lock floor_lock;
@@ -330,8 +335,14 @@ let choose_indices ~pes table indices =
     let terms =
       List.map
         (fun i ->
-          let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
-          let k2 = ekh * ekw in
+          let ef = Cnn.Table.filters_extent table i
+          and ec = Cnn.Table.channels_extent table i
+          and eh = Cnn.Table.height_extent table i
+          and ew = Cnn.Table.width_extent table i in
+          let k2 =
+            Cnn.Table.kernel_h_extent table i
+            * Cnn.Table.kernel_w_extent table i
+          in
           if channel_mode then (ec, eh, ew, ef * k2)
           else (ef, eh, ew, ec * k2))
         indices

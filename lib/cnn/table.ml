@@ -155,9 +155,12 @@ let padding t i = t.padding.(i)
 let is_depthwise t i = t.is_dw.(i)
 let band1_elements t i = t.band1.(i)
 
-let extents t i =
-  (t.ext_f.(i), t.ext_c.(i), t.ext_h.(i), t.ext_w.(i), t.ext_kh.(i),
-   t.ext_kw.(i))
+let filters_extent t i = t.ext_f.(i)
+let channels_extent t i = t.ext_c.(i)
+let height_extent t i = t.ext_h.(i)
+let width_extent t i = t.ext_w.(i)
+let kernel_h_extent t i = t.ext_kh.(i)
+let kernel_w_extent t i = t.ext_kw.(i)
 
 (* Segment aggregates: O(1) from the precomputed structures.  Integer
    sums are order-independent, so they equal the list folds exactly. *)

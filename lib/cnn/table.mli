@@ -51,9 +51,14 @@ val band1_elements : t -> int -> int
     [min kernel (in_h + 2 padding) * in_w * in_c] — the [rows = 1] case
     of [Builder.Tiling.ifm_rows_for_ofm_rows] times the band area. *)
 
-val extents : t -> int -> int * int * int * int * int * int
-(** The six Eq.-1 loop extents, in [Parallelism.all_dims] order:
-    (filters, channels, height, width, kernel_h, kernel_w). *)
+val filters_extent : t -> int -> int
+val channels_extent : t -> int -> int
+val height_extent : t -> int -> int
+val width_extent : t -> int -> int
+val kernel_h_extent : t -> int -> int
+val kernel_w_extent : t -> int -> int
+(** The six Eq.-1 loop extents, one read each (the |d| of
+    [Parallelism.layer_dim_extent]). *)
 
 (** {1 Segment aggregates} — O(1) each. *)
 

@@ -44,32 +44,28 @@ let ideal_cycles ~pes layer =
    precomputed loop extents instead of per-call [Layer.out_shape]
    recomputation.  Integer products agree with [cycles_with_extents]
    exactly (same factors, and machine-int multiplication is
-   order-independent), so results are bit-identical. *)
+   order-independent), so results are bit-identical.  They read each
+   extent and factor directly, so a call allocates nothing. *)
 
 let cd = Util.Int_math.ceil_div
 
-let layer_cycles_at t tbl i =
+(* Eq. 1 with the height extent given, shared by whole layers and
+   row tiles. *)
+let cycles_at t tbl i ~height =
   let p = t.parallelism in
-  let f d = Parallelism.factor p d in
-  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents tbl i in
-  cd ef (f Parallelism.Filters)
-  * cd ec (f Parallelism.Channels)
-  * cd eh (f Parallelism.Height)
-  * cd ew (f Parallelism.Width)
-  * cd ekh (f Parallelism.Kernel_h)
-  * cd ekw (f Parallelism.Kernel_w)
+  let module P = Parallelism in
+  cd (Cnn.Table.filters_extent tbl i) (P.factor p P.Filters)
+  * cd (Cnn.Table.channels_extent tbl i) (P.factor p P.Channels)
+  * cd height (P.factor p P.Height)
+  * cd (Cnn.Table.width_extent tbl i) (P.factor p P.Width)
+  * cd (Cnn.Table.kernel_h_extent tbl i) (P.factor p P.Kernel_h)
+  * cd (Cnn.Table.kernel_w_extent tbl i) (P.factor p P.Kernel_w)
+
+let layer_cycles_at t tbl i =
+  cycles_at t tbl i ~height:(Cnn.Table.height_extent tbl i)
 
 let tile_cycles_at t tbl i ~rows =
-  let rows = max 1 rows in
-  let p = t.parallelism in
-  let f d = Parallelism.factor p d in
-  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents tbl i in
-  cd ef (f Parallelism.Filters)
-  * cd ec (f Parallelism.Channels)
-  * cd (min rows eh) (f Parallelism.Height)
-  * cd ew (f Parallelism.Width)
-  * cd ekh (f Parallelism.Kernel_h)
-  * cd ekw (f Parallelism.Kernel_w)
+  cycles_at t tbl i ~height:(min (max 1 rows) (Cnn.Table.height_extent tbl i))
 
 let ideal_cycles_at ~pes tbl i = cd (Cnn.Table.macs tbl i) pes
 
@@ -88,23 +84,6 @@ let average_utilization t layers =
       (0.0, 0.0) layers
   in
   weighted /. total
-
-(* Mirrors [average_utilization]'s left-to-right float accumulation
-   exactly (same additions in the same order on the same values), so
-   the result is bit-identical to the list fold. *)
-let average_utilization_at t tbl ~first ~last =
-  if first > last then invalid_arg "Engine.average_utilization_at: empty range";
-  let weighted = ref 0.0 and total = ref 0.0 in
-  for i = first to last do
-    let m = float_of_int (Cnn.Table.macs tbl i) in
-    let u =
-      float_of_int (ideal_cycles_at ~pes:t.pes tbl i)
-      /. float_of_int (layer_cycles_at t tbl i)
-    in
-    weighted := !weighted +. (m *. u);
-    total := !total +. m
-  done;
-  !weighted /. !total
 
 let pp ppf t =
   Format.fprintf ppf "CE%d[%d PEs, %a, %a]" t.id t.pes Parallelism.pp

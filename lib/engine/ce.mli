@@ -67,8 +67,3 @@ val ideal_cycles_at : pes:int -> Cnn.Table.t -> int -> int
 (** [ideal_cycles_at ~pes tbl i] equals
     [ideal_cycles ~pes (Model.layer m i)]. *)
 
-val average_utilization_at : t -> Cnn.Table.t -> first:int -> last:int -> float
-(** [average_utilization_at ce tbl ~first ~last] equals
-    [average_utilization ce (Model.layers_in_range m ~first ~last)]
-    bit-exactly (identical float operations in identical order).
-    @raise Invalid_argument on an empty range. *)

@@ -95,12 +95,12 @@ let eval_block ?cache (built : Builder.Build.t) ~index ~segment_counter =
     let compute () =
       Mccm_obs.span ~cat:"mccm" "eval.single_ce" @@ fun () ->
       Mccm_obs.Metric.incr c_single;
-      Single_ce_model.evaluate_with_validity ~table ~board ~engine
-        ~plan:splan ~first ~last ~input_on_chip ~output_on_chip ()
+      Single_ce_model.evaluate ~table ~board ~engine ~plan:splan ~first
+        ~last ~input_on_chip ~output_on_chip ()
     in
     let r =
       match cache with
-      | None -> fst (compute ())
+      | None -> compute ()
       | Some c ->
         Seg_cache.single c ~engine
           ~cap:splan.Builder.Buffer_alloc.fm_capacity_bytes ~first ~last

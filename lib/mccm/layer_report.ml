@@ -21,10 +21,9 @@ let single_rows (built : Builder.Build.t) ~engine ~plan ~first ~last
     ~input_on_chip ~output_on_chip =
   let model = built.Builder.Build.model in
   let board = built.Builder.Build.board in
-  let r =
-    Single_ce_model.evaluate ~table:built.Builder.Build.table ~board ~engine
-      ~plan ~first ~last
-      ~input_on_chip ~output_on_chip ()
+  let _, layers =
+    Single_ce_model.trace ~table:built.Builder.Build.table ~board ~engine
+      ~plan ~first ~last ~input_on_chip ~output_on_chip ()
   in
   List.map
     (fun (lr : Single_ce_model.layer_result) ->
@@ -39,7 +38,7 @@ let single_rows (built : Builder.Build.t) ~engine ~plan ~first ~last
         utilization = Engine.Ce.utilization engine layer;
         accesses = lr.Single_ce_model.accesses;
       })
-    r.Single_ce_model.layers
+    layers
 
 let pipelined_rows (built : Builder.Build.t) ~engines ~plan ~first ~last
     ~input_on_chip ~output_on_chip =

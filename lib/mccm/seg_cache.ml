@@ -46,12 +46,14 @@ let fp_engine_sig h s =
 
 (* The single-CE evaluator reads its plan slice only through
    [fm_capacity_bytes], and is piecewise constant in it — so the key
-   deliberately EXCLUDES the plan, and each entry stores a list of
-   (cap_lo, cap_hi, result) pieces.  A lookup hits when the requested
-   capacity falls inside a recorded validity interval, which makes the
-   cache immune to the byte-granular capacity churn of the planner's
-   global proportional grants (a one-boundary move otherwise shifts
-   every block's grant by a few bytes and would defeat the cache). *)
+   deliberately EXCLUDES the plan, and each entry stores a list of block
+   aggregates, each valid on its own (cap_lo, cap_hi) piece and holding
+   no per-layer data, so an entry's size does not grow with its
+   segment.  A lookup hits when the requested capacity falls inside a
+   recorded piece, which makes the cache immune to the byte-granular
+   capacity churn of the planner's global proportional grants (a
+   one-boundary move otherwise shifts every block's grant by a few
+   bytes and would defeat the cache). *)
 type single_key = {
   s_fp : int;
   s_first : int;
@@ -139,14 +141,8 @@ let c_s_miss = Mccm_obs.Metric.counter "seg.single.miss"
 let c_p_hit = Mccm_obs.Metric.counter "seg.pipelined.hit"
 let c_p_miss = Mccm_obs.Metric.counter "seg.pipelined.miss"
 
-type single_piece = {
-  cap_lo : int;
-  cap_hi : int;
-  piece : Single_ce_model.result;
-}
-
 type t = {
-  singles : single_piece list Single_tbl.t;
+  singles : Single_ce_model.result list Single_tbl.t;
   pipes : Pipelined_model.result Pipe_tbl.t;
   mutable s_hits : int;
   mutable s_misses : int;
@@ -184,7 +180,9 @@ let absorb ~into t =
             (fun p ->
               not
                 (List.exists
-                   (fun q -> q.cap_lo = p.cap_lo && q.cap_hi = p.cap_hi)
+                   (fun (q : Single_ce_model.result) ->
+                     q.cap_lo = p.Single_ce_model.cap_lo
+                     && q.cap_hi = p.Single_ce_model.cap_hi)
                    existing))
             pieces
         in
@@ -207,18 +205,21 @@ let single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip compute =
   let pieces =
     Option.value (Single_tbl.find_opt t.singles key) ~default:[]
   in
-  match
-    List.find_opt (fun p -> p.cap_lo <= cap && cap <= p.cap_hi) pieces
-  with
-  | Some p ->
+  let rec valid_at = function
+    | [] -> None
+    | (r : Single_ce_model.result) :: rest ->
+      if r.cap_lo <= cap && cap <= r.cap_hi then Some r else valid_at rest
+  in
+  match valid_at pieces with
+  | Some r ->
     t.s_hits <- t.s_hits + 1;
     Mccm_obs.Metric.incr c_s_hit;
-    p.piece
+    r
   | None ->
     t.s_misses <- t.s_misses + 1;
     Mccm_obs.Metric.incr c_s_miss;
-    let r, (cap_lo, cap_hi) = compute () in
-    Single_tbl.replace t.singles key ({ cap_lo; cap_hi; piece = r } :: pieces);
+    let r = compute () in
+    Single_tbl.replace t.singles key (r :: pieces);
     r
 
 let pipelined t ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip

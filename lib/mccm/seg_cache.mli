@@ -1,6 +1,6 @@
 (** Content-keyed memo tables for per-segment model results.
 
-    A cache stores {!Single_ce_model.result} and
+    A cache stores {!Single_ce_model.result} block aggregates and
     {!Pipelined_model.result} values keyed by everything those models
     read: the layer range, the engine signatures (PE count, parallelism
     factors, dataflow — the display-only CE id is excluded), the
@@ -31,17 +31,21 @@ val single :
   last:int ->
   input_on_chip:bool ->
   output_on_chip:bool ->
-  (unit -> Single_ce_model.result * (int * int)) ->
+  (unit -> Single_ce_model.result) ->
   Single_ce_model.result
 (** [single t ~cap ... compute] returns a memoized result valid at FM
-    capacity [cap], or runs [compute] once (it must return the result
-    together with its capacity-validity interval, as
-    {!Single_ce_model.evaluate_with_validity} does) and stores the
-    piece.  The single-CE evaluator is piecewise constant in its
-    capacity, so entries are (interval, result) pieces per (layer range,
-    engine, boundary flags) — a hit only needs [cap] to land inside a
-    recorded interval, which makes the cache immune to the byte-level
-    capacity churn of the planner's global proportional grants. *)
+    capacity [cap], or runs [compute] once ({!Single_ce_model.evaluate})
+    and stores its result.  The single-CE evaluator is piecewise constant
+    in its capacity, so an entry per (layer range, engine, boundary
+    flags) is a list of block aggregates, each valid on its own
+    [(cap_lo, cap_hi)] piece — a hit only needs [cap] to land inside a
+    recorded piece, which makes the cache immune to the byte-level
+    capacity churn of the planner's global proportional grants.  An
+    aggregate holds the block's cycles, accesses, compute/memory/latency
+    seconds, utilization and interval, and no per-layer data, so a
+    piece costs a fixed number of words however long its segment
+    ({!Single_ce_model.trace} recomputes the per-layer chain on
+    demand). *)
 
 val pipelined :
   t ->

@@ -20,16 +20,28 @@ type layer_result = {
   ifm_on_chip : bool;          (** whether the IFM was already on-chip *)
   ofm_stays_on_chip : bool;    (** whether the OFM remains for the next layer *)
 }
+(** One layer of the chain the block is charged for: see {!trace}. *)
 
 type result = {
-  layers : layer_result list;
   compute_cycles : int;        (** sum over layers *)
-  accesses : Access.t;         (** sum over layers *)
+  accesses : Access.t;         (** sum over the charged chain *)
   compute_s : float;
   memory_s : float;
   latency_s : float;           (** max(compute, memory) per layer, summed *)
   utilization : float;         (** MAC-weighted PE utilization *)
+  cap_lo : int;
+  cap_hi : int;
+      (** the inclusive interval of [fm_capacity_bytes] values over
+          which every other field is bit-identical *)
 }
+(** A block aggregate: no per-layer list, so it is what {!Seg_cache}
+    keeps.  The evaluator reads its plan only through the capacity, and
+    only in threshold tests and ceiling divisions, so the result is
+    piecewise constant in it; [(cap_lo, cap_hi)] is the piece containing
+    [plan.fm_capacity_bytes] (conservatively narrowed — every branch
+    taken and quotient computed is pinned).  {!Seg_cache} uses it so the
+    byte-granular churn of the planner's proportional grants does not
+    defeat segment-level memoization. *)
 
 val evaluate :
   table:Cnn.Table.t ->
@@ -48,9 +60,17 @@ val evaluate :
     on-chip inter-segment buffer; [output_on_chip] whether its final OFM
     leaves through one.  Boundary FM traffic is charged here (a load when
     the input is off-chip, a store when the output is), so composing
-    blocks sums accesses without double counting. *)
+    blocks sums accesses without double counting.
 
-val evaluate_with_validity :
+    The DP keeps only running totals per state, so a call allocates a
+    fixed amount whatever the segment length.  Ties go to the
+    incumbent: decisions from the spilled-IFM state are offered before
+    those from the resident-IFM state, each in a fixed order, and a
+    later offer replaces a state's chain only when strictly cheaper;
+    the spilled-OFM final state wins a final tie.
+    @raise Invalid_argument if [first > last]. *)
+
+val trace :
   table:Cnn.Table.t ->
   board:Platform.Board.t ->
   engine:Engine.Ce.t ->
@@ -60,13 +80,9 @@ val evaluate_with_validity :
   input_on_chip:bool ->
   output_on_chip:bool ->
   unit ->
-  result * (int * int)
-(** Like {!evaluate}, but also returns the inclusive interval
-    [(cap_lo, cap_hi)] of [fm_capacity_bytes] values over which the
-    result is bit-identical.  The evaluator reads its plan only through
-    the capacity, and only in threshold tests and ceiling divisions, so
-    the result is piecewise constant in it; the interval is the piece
-    containing [plan.fm_capacity_bytes] (conservatively narrowed —
-    every branch taken and quotient computed is pinned).  {!Seg_cache}
-    uses this so the byte-granular churn of the planner's proportional
-    grants does not defeat segment-level memoization. *)
+  result * layer_result list
+(** [trace] runs the same DP as {!evaluate}, also recording per-layer
+    back-pointers, and returns the aggregate together with the charged
+    chain, one entry per layer in order.  The entries' accesses sum to
+    the aggregate's.  For per-layer reports and the simulator, not for
+    hot paths. *)

@@ -177,7 +177,6 @@ type work = {
   w_rid : string; (* telemetry request id: client id rendered, or minted *)
   w_op : Protocol.op;
   w_conn : conn;
-  w_key : string; (* session key; "" when the job carries no session *)
   w_ckey : string; (* result-cache key; "" when not cacheable *)
   w_model : Cnn.Model.t option;
   w_board : Platform.Board.t option;
@@ -350,19 +349,6 @@ let opt_string params key =
     | Some s -> Some s
     | None -> badf "%S must be a string" key)
 
-let board_key (b : Platform.Board.t) =
-  Printf.sprintf "%s,%d,%d,%h,%h,%d" b.Platform.Board.name
-    b.Platform.Board.dsps b.Platform.Board.bram_bytes
-    b.Platform.Board.bandwidth_bytes_per_sec b.Platform.Board.clock_hz
-    b.Platform.Board.bytes_per_element
-
-let session_key model board =
-  (* Content-addressed: a model arriving as inline text and the same
-     model from the zoo share one session.  The full serialisation is
-     the key — a hash digest alone could alias two models and silently
-     serve one's metrics for the other. *)
-  board_key board ^ "|" ^ Cnn.Model_io.to_string model
-
 (* (model, board) from params: zoo abbreviation or inline model text,
    board by catalogue name; or a full corpus case block. *)
 let resolve_target params =
@@ -416,7 +402,7 @@ let resolve_job cfg (req : Protocol.request) =
     let archi =
       match archi with Some a -> a | None -> badf "missing \"arch\""
     in
-    (Some model, Some board, session_key model board, J_eval archi)
+    (Some model, Some board, J_eval archi)
   | Protocol.Explore ->
     let model, board, _ = resolve_target params in
     let samples = require_int params "samples" ~default:2000 in
@@ -424,7 +410,7 @@ let resolve_job cfg (req : Protocol.request) =
     if samples > cfg.max_samples then
       badf "\"samples\" exceeds the server cap (%d)" cfg.max_samples;
     let seed = Int64.of_int (require_int params "seed" ~default:42) in
-    (Some model, Some board, session_key model board, J_explore { samples; seed })
+    (Some model, Some board, J_explore { samples; seed })
   | Protocol.Enumerate ->
     let model, board, _ = resolve_target params in
     let ces = require_int params "ces" ~default:4 in
@@ -447,17 +433,14 @@ let resolve_job cfg (req : Protocol.request) =
         | Some b -> b
         | None -> badf "\"prune\" must be a boolean")
     in
-    ( Some model,
-      Some board,
-      session_key model board,
-      J_enumerate { ces; objective; max_specs; prune } )
+    (Some model, Some board, J_enumerate { ces; objective; max_specs; prune })
   | Protocol.Validate ->
     let samples = require_int params "samples" ~default:50 in
     if samples < 1 then badf "\"samples\" must be >= 1";
     if samples > cfg.max_samples then
       badf "\"samples\" exceeds the server cap (%d)" cfg.max_samples;
     let seed = Int64.of_int (require_int params "seed" ~default:42) in
-    (None, None, "", J_validate { samples; seed })
+    (None, None, J_validate { samples; seed })
   | Protocol.Sleep ->
     let seconds =
       match Json.member "seconds" params with
@@ -468,7 +451,7 @@ let resolve_job cfg (req : Protocol.request) =
         | Some _ -> badf "\"seconds\" out of range [0, %g]" cfg.max_sleep_s
         | None -> badf "\"seconds\" must be a number")
     in
-    (None, None, "", J_sleep seconds)
+    (None, None, J_sleep seconds)
   | Protocol.Ping | Protocol.Stats | Protocol.Health | Protocol.Recent
   | Protocol.Shutdown ->
     badf "control op cannot be queued"
@@ -516,23 +499,31 @@ let evaluate_cache_key cfg (req : Protocol.request) =
 
 (* --------------------------------------------------------- sessions *)
 
-(* Each worker owns its sessions, one per (model, board) content key,
-   created on first use and never shared, so no lock guards them.  A
-   worker holds at most [max_sessions]; past the cap a new key
-   evaluates uncached, and every such job is counted, so the
-   misconfiguration shows up in stats/top instead of only as
-   mysteriously slow evaluates. *)
+(* Each worker owns its sessions, one per (model, board) pair, created
+   on first use and never shared, so no lock guards them.  Pairs are
+   compared structurally, as [Eval_session.check] does: a model arriving
+   as inline text and the same model from the zoo share one session,
+   and two different pairs never do.  A worker holds at most
+   [max_sessions]; past the cap a new pair evaluates uncached, and
+   every such job is counted, so the misconfiguration shows up in
+   stats/top instead of only as mysteriously slow evaluates. *)
+module Session_tbl = Hashtbl.Make (struct
+  type t = Cnn.Model.t * Platform.Board.t
+
+  let equal (m, b) (m', b') = m = m' && b = b'
+  let hash = Hashtbl.hash
+end)
+
 let worker_session t sessions w =
-  match Hashtbl.find_opt sessions w.w_key with
+  let model = Option.get w.w_model and board = Option.get w.w_board in
+  match Session_tbl.find_opt sessions (model, board) with
   | Some s -> Some s
-  | None when Hashtbl.length sessions >= t.cfg.max_sessions ->
+  | None when Session_tbl.length sessions >= t.cfg.max_sessions ->
     incr t.c.registry_full;
     None
   | None ->
-    let s =
-      Mccm.Eval_session.create (Option.get w.w_model) (Option.get w.w_board)
-    in
-    Hashtbl.add sessions w.w_key s;
+    let s = Mccm.Eval_session.create model board in
+    Session_tbl.add sessions (model, board) s;
     incr t.sessions;
     Some s
 
@@ -838,7 +829,7 @@ let run_job t sessions w =
    the queue wait), refuse the recipients whose deadline has passed,
    and run the request once for the rest. *)
 let worker_loop t worker =
-  let sessions = Hashtbl.create 8 in
+  let sessions = Session_tbl.create 8 in
   let rec loop () =
     match Bqueue.pop t.queue with
     | None -> ()
@@ -1063,7 +1054,7 @@ let handle_request t conn ~bytes_in (req : Protocol.request) =
       | exception Bad msg ->
         incr t.c.errors_bad_params;
         reject_at_gate t conn ~id ~rid ~op ~bytes_in Protocol.Bad_params msg
-      | (model, board, key, job), ckey -> (
+      | (model, board, job), ckey -> (
         let enq = now_ns () in
         let deadline_ns =
           Option.map
@@ -1084,7 +1075,6 @@ let handle_request t conn ~bytes_in (req : Protocol.request) =
               w_rid = rid;
               w_op = op;
               w_conn = conn;
-              w_key = key;
               w_ckey = ckey;
               w_model = model;
               w_board = board;

@@ -22,8 +22,9 @@
       coalesced waiters, refuse the recipients whose deadline has
       passed, and run it once under its own error handler for the
       rest.  Each worker owns its {!Mccm.Eval_session}s, one per
-      (model, board) content key, created on first use and kept warm
-      for the daemon's lifetime, at most [max_sessions] per worker.
+      (model, board) pair compared structurally, created on first use
+      and kept warm for the daemon's lifetime, at most [max_sessions]
+      per worker.
     - {b Drain} — {!stop} (also reachable via the [shutdown] op or a
       signal handler; it only flips an atomic, so it is safe from a
       signal context) stops the accept loop, closes the queue, lets the

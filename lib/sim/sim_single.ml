@@ -22,8 +22,8 @@ let simulate ~cfg ~dma ~table ~board ~engine ~plan ~first ~last ~input_on_chip
   let model = Cnn.Table.model table in
   (* Replay the analytical model's access decisions for exact byte
      parity; the event simulation below only adds time. *)
-  let reference =
-    Mccm.Single_ce_model.evaluate ~table ~board ~engine ~plan ~first ~last
+  let reference, layers =
+    Mccm.Single_ce_model.trace ~table ~board ~engine ~plan ~first ~last
       ~input_on_chip ~output_on_chip ()
   in
   let port_cycles = ref 0.0 in
@@ -44,7 +44,7 @@ let simulate ~cfg ~dma ~table ~board ~engine ~plan ~first ~last ~input_on_chip
           +. Float.max
                (float_of_int lr.Mccm.Single_ce_model.compute_cycles)
                transfer)
-      reference.Mccm.Single_ce_model.layers
+      layers
   else
   List.iter
     (fun (lr : Mccm.Single_ce_model.layer_result) ->
@@ -91,7 +91,7 @@ let simulate ~cfg ~dma ~table ~board ~engine ~plan ~first ~last ~input_on_chip
         +. float_of_int (Engine.Ce.layer_cycles engine layer)
       in
       t := Float.max compute_finish !dma_done)
-    reference.Mccm.Single_ce_model.layers;
+    layers;
   {
     finish_cycle = !t;
     busy_cycles = !t -. start;

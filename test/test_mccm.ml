@@ -196,6 +196,149 @@ let test_eq9_interseg_tradeoff () =
   checkb "plentiful BRAM never accesses more" true
     (Mccm.Metrics.accesses_bytes big <= Mccm.Metrics.accesses_bytes small)
 
+(* The DP against its list-based reference (test/single_ce_ref.ml) on
+   random (model, board, engine, capacity, layer range, boundary flags)
+   cases: the aggregates, the per-layer chain and the validity interval
+   must agree bit for bit.  The reference's utilization is the
+   [Layer.t] fold, so this also pins the DP's table-based sum to it. *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+type single_case = {
+  table : Cnn.Table.t;
+  board : Platform.Board.t;
+  engine : Engine.Ce.t;
+  plan : Builder.Buffer_alloc.single_plan;
+  first : int;
+  last : int;
+  input_on_chip : bool;
+  output_on_chip : bool;
+}
+
+let print_single_case c =
+  let m = Cnn.Table.model c.table in
+  Format.asprintf "%s on %s, %a, L%d-L%d, cap %d B, in %b, out %b"
+    m.Cnn.Model.abbreviation c.board.Platform.Board.name Engine.Ce.pp c.engine
+    c.first c.last c.plan.Builder.Buffer_alloc.fm_capacity_bytes
+    c.input_on_chip c.output_on_chip
+
+(* Capacities span the layers' FM footprints, so every Eq. 6 branch
+   (fits, evicts the shortcut, streams under each reservation) is
+   reached; a quarter are tiny, to exercise the clamped window. *)
+let single_case_gen =
+  QCheck2.Gen.(
+    let* model = Generators.model in
+    let* board = Generators.board in
+    let table = Cnn.Table.of_model model in
+    let n = Cnn.Model.num_layers model in
+    let* a = int_bound (n - 1) and* b = int_bound (n - 1) in
+    let first = min a b and last = max a b in
+    let* factors = list_repeat 6 (int_range 1 9) and* spare = int_range 0 64 in
+    let parallelism =
+      Engine.Parallelism.of_factors
+        (List.combine Engine.Parallelism.all_dims factors)
+    in
+    let engine =
+      Engine.Ce.v ~id:1
+        ~pes:(Engine.Parallelism.degree parallelism + spare)
+        ~parallelism ~dataflow:Engine.Dataflow.Output_stationary
+    in
+    let fms =
+      Cnn.Table.max_fms_range table ~first ~last
+      * board.Platform.Board.bytes_per_element
+    in
+    let* cap =
+      frequency [ (1, int_bound 64); (3, int_bound (2 * fms)) ]
+    in
+    let* input_on_chip = bool and* output_on_chip = bool in
+    let plan =
+      {
+        Builder.Buffer_alloc.weights_tile_bytes = 0;
+        fm_capacity_bytes = cap;
+        fm_ideal_bytes = fms;
+      }
+    in
+    return
+      { table; board; engine; plan; first; last; input_on_chip;
+        output_on_chip })
+
+let trace_case c =
+  Mccm.Single_ce_model.trace ~table:c.table ~board:c.board ~engine:c.engine
+    ~plan:c.plan ~first:c.first ~last:c.last ~input_on_chip:c.input_on_chip
+    ~output_on_chip:c.output_on_chip ()
+
+let same_result (a : Mccm.Single_ce_model.result)
+    (b : Mccm.Single_ce_model.result) =
+  a.compute_cycles = b.compute_cycles
+  && a.accesses = b.accesses
+  && bits_equal a.compute_s b.compute_s
+  && bits_equal a.memory_s b.memory_s
+  && bits_equal a.latency_s b.latency_s
+  && bits_equal a.utilization b.utilization
+  && a.cap_lo = b.cap_lo && a.cap_hi = b.cap_hi
+
+let prop_dp_matches_reference =
+  QCheck2.Test.make ~name:"single-CE DP equals the list reference" ~count:500
+    ~print:print_single_case single_case_gen (fun c ->
+      let r, layers = trace_case c in
+      let e =
+        Mccm.Single_ce_model.evaluate ~table:c.table ~board:c.board
+          ~engine:c.engine ~plan:c.plan ~first:c.first ~last:c.last
+          ~input_on_chip:c.input_on_chip ~output_on_chip:c.output_on_chip ()
+      in
+      let (q : Single_ce_ref.result), (lo, hi) =
+        Single_ce_ref.evaluate_with_validity ~table:c.table ~board:c.board
+          ~engine:c.engine ~plan:c.plan ~first:c.first ~last:c.last
+          ~input_on_chip:c.input_on_chip ~output_on_chip:c.output_on_chip ()
+      in
+      same_result r e
+      && r.compute_cycles = q.compute_cycles
+      && r.accesses = q.accesses
+      && bits_equal r.compute_s q.compute_s
+      && bits_equal r.memory_s q.memory_s
+      && bits_equal r.latency_s q.latency_s
+      && bits_equal r.utilization q.utilization
+      && r.cap_lo = lo && r.cap_hi = hi
+      && List.length layers = List.length q.layers
+      && List.for_all2
+           (fun (l : Mccm.Single_ce_model.layer_result)
+                (m : Single_ce_ref.layer_result) ->
+             l.layer_index = m.layer_index
+             && l.compute_cycles = m.compute_cycles
+             && l.accesses = m.accesses
+             && l.ifm_on_chip = m.ifm_on_chip
+             && l.ofm_stays_on_chip = m.ofm_stays_on_chip)
+           layers q.layers)
+
+(* Seg_cache serves a recorded piece at any capacity inside its
+   interval, so every capacity there, both ends included, must give the
+   same aggregate, chain and interval. *)
+let prop_validity_interval =
+  QCheck2.Test.make ~name:"any capacity in the validity interval agrees"
+    ~count:300
+    ~print:(fun (c, _) -> print_single_case c)
+    QCheck2.Gen.(pair single_case_gen (pair nat nat))
+    (fun (c, (x, y)) ->
+      let r, layers = trace_case c in
+      let lo = r.Mccm.Single_ce_model.cap_lo
+      and hi = r.Mccm.Single_ce_model.cap_hi in
+      let cap = c.plan.Builder.Buffer_alloc.fm_capacity_bytes in
+      (* Two interior points drawn around the evaluated capacity, kept
+         clear of overflow when the interval is unbounded above. *)
+      let inside d = max lo (min hi (cap + d)) in
+      List.for_all
+        (fun cap' ->
+          let r', layers' =
+            trace_case
+              {
+                c with
+                plan =
+                  { c.plan with Builder.Buffer_alloc.fm_capacity_bytes = cap' };
+              }
+          in
+          same_result r r' && layers = layers')
+        [ lo; hi; inside (x mod 4096); inside (-(y mod 4096)) ])
+
 (* --------------------------------------------------- Pipelined_model *)
 
 let pipelined_setup () =
@@ -340,6 +483,40 @@ let test_evaluate_heap_flat () =
   done;
   let grown = live_words () - before in
   checkb (Printf.sprintf "live heap grew by %d words" grown) true (grown < 4096)
+
+(* A single-CE segment-cache entry keeps a block aggregate, not a
+   per-layer trace, so it holds a bounded number of live words however
+   long its segment.  The first 300 ResNet152 10-CE specs have segments
+   of up to ~145 layers; every build happens before the measurement, so
+   the live-heap growth is the cache's own. *)
+let test_seg_cache_entry_bounded () =
+  let model = Cnn.Model_zoo.resnet152 () in
+  let board = Platform.Board.vcu108 in
+  let table = Cnn.Table.of_model model in
+  let ces = 10 in
+  let width = Dse.Space.Flat.width ~ces in
+  let buf =
+    Dse.Space.Flat.enumerate ~num_layers:(Cnn.Model.num_layers model) ~ces
+      ~max_specs:300
+  in
+  let builds =
+    List.init (Dse.Space.Flat.count buf ~width) (fun i ->
+        Builder.Build.build ~table model board
+          (Arch.Custom.arch_of_spec model (Dse.Space.Flat.decode buf ~width i)))
+  in
+  let cache = Mccm.Seg_cache.create () in
+  let before = live_words () in
+  List.iter
+    (fun b -> ignore (Sys.opaque_identity (Mccm.Evaluate.run ~cache b)))
+    builds;
+  let grown = live_words () - before in
+  ignore (Sys.opaque_identity builds);
+  let _, misses = Mccm.Seg_cache.single_counts cache in
+  checkb "some single-CE misses" true (misses > 0);
+  checkb
+    (Printf.sprintf "%d live words over %d single-CE misses" grown misses)
+    true
+    (grown <= 64 * misses)
 
 let test_evaluate_run_own_table () =
   let built =
@@ -507,6 +684,12 @@ let prop_latency_bounded_by_serial =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_metrics_positive; prop_latency_bounded_by_serial ]
+  (* Fixed seeds: a failure of the DP properties reproduces on every
+     run. *)
+  @ List.mapi
+      (fun i p ->
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1901 + i |]) p)
+      [ prop_dp_matches_reference; prop_validity_interval ]
 
 let () =
   Alcotest.run "mccm"
@@ -565,6 +748,8 @@ let () =
             test_evaluate_heap_flat;
           Alcotest.test_case "run takes only the build's table" `Quick
             test_evaluate_run_own_table;
+          Alcotest.test_case "segment-cache entry is bounded" `Quick
+            test_seg_cache_entry_bounded;
         ] );
       ("properties", properties);
     ]

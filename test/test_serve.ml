@@ -575,6 +575,60 @@ let test_session_cap () =
               ("health", Serve.Client.health ~timeout_s:30.0 c);
             ]))
 
+(* Sessions are keyed by the (model, board) values themselves: the zoo
+   model and the same model sent as text share one session, and a model
+   differing in one layer gets a second. *)
+let test_session_identity () =
+  with_daemon
+    ~configure:(fun c -> { c with Serve.Daemon.workers = 1 })
+    (fun cfg d ->
+      with_client cfg (fun c ->
+          let text =
+            Cnn.Model_io.to_string
+              (Option.get (Cnn.Model_zoo.by_abbreviation "MobV2"))
+          in
+          let variant =
+            String.concat "\n"
+              (List.map
+                 (fun line ->
+                   if line = "pw 1280 name=head" then "pw 1024 name=head"
+                   else line)
+                 (String.split_on_char '\n' text))
+          in
+          Alcotest.(check bool) "variant differs" true (variant <> text);
+          let evaluate ~id model_param =
+            let frame =
+              Json.to_string
+                (Json.Obj
+                   [
+                     ("id", Json.Num (float_of_int id));
+                     ("op", Json.Str "evaluate");
+                     ( "params",
+                       Json.Obj
+                         [
+                           model_param;
+                           ("board", Json.Str "VCU108");
+                           ("arch", Json.Str "hybrid/4");
+                           ("cache", Json.Bool false);
+                         ] );
+                   ])
+            in
+            match Serve.Protocol.parse_reply (raw_call c frame) with
+            | Ok { Serve.Protocol.outcome = Ok _; _ } -> ()
+            | Ok { Serve.Protocol.outcome = Error (code, msg); _ } ->
+              Alcotest.failf "evaluate %d: %s: %s" id code msg
+            | Error msg -> Alcotest.failf "evaluate %d: %s" id msg
+          in
+          evaluate ~id:1 ("model", Json.Str "MobV2");
+          evaluate ~id:2 ("model_text", Json.Str text);
+          Alcotest.(check int)
+            "zoo model and its text share a session" 1
+            (Serve.Daemon.session_count d);
+          evaluate ~id:3 ("model_text", Json.Str variant);
+          Alcotest.(check int)
+            "a one-layer variant gets its own session" 2
+            (Serve.Daemon.session_count d)))
+
 (* ------------------------------------------------------------- drain *)
 
 let test_shutdown_drains () =
@@ -1082,6 +1136,8 @@ let () =
             test_failing_request;
           Alcotest.test_case "past the session cap evaluates uncached" `Quick
             test_session_cap;
+          Alcotest.test_case "sessions keyed by model and board values" `Quick
+            test_session_identity;
         ] );
       ( "telemetry",
         [

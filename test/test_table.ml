@@ -48,7 +48,6 @@ let prop_table_per_layer_scalars =
       for i = 0 to Cnn.Model.num_layers model - 1 do
         let l = Cnn.Model.layer model i in
         let ins = l.Cnn.Layer.in_shape and outs = Cnn.Layer.out_shape l in
-        let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents t i in
         ok :=
           !ok
           && Cnn.Table.macs t i = Cnn.Layer.macs l
@@ -72,12 +71,12 @@ let prop_table_per_layer_scalars =
           && Cnn.Table.band1_elements t i
              = Builder.Tiling.ifm_rows_for_ofm_rows l ~rows:1
                * ins.Cnn.Shape.width * ins.Cnn.Shape.channels
-          && ef = Cnn.Layer.loop_extent l `Filters
-          && ec = Cnn.Layer.loop_extent l `Channels
-          && eh = Cnn.Layer.loop_extent l `Height
-          && ew = Cnn.Layer.loop_extent l `Width
-          && ekh = Cnn.Layer.loop_extent l `Kernel_h
-          && ekw = Cnn.Layer.loop_extent l `Kernel_w
+          && Cnn.Table.filters_extent t i = Cnn.Layer.loop_extent l `Filters
+          && Cnn.Table.channels_extent t i = Cnn.Layer.loop_extent l `Channels
+          && Cnn.Table.height_extent t i = Cnn.Layer.loop_extent l `Height
+          && Cnn.Table.width_extent t i = Cnn.Layer.loop_extent l `Width
+          && Cnn.Table.kernel_h_extent t i = Cnn.Layer.loop_extent l `Kernel_h
+          && Cnn.Table.kernel_w_extent t i = Cnn.Layer.loop_extent l `Kernel_w
       done;
       !ok)
 
@@ -97,13 +96,11 @@ let engine_gen =
           ~parallelism ~dataflow:Engine.Dataflow.Output_stationary)
       (pair (list_repeat 6 (int_range 1 9)) (int_range 0 64)))
 
-let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let prop_ce_at_matches_layer =
   QCheck2.Test.make ~name:"Engine.Ce table reads equal Layer versions"
     ~count:100
-    QCheck2.Gen.(triple Generators.model engine_gen (pair small_nat small_nat))
-    (fun (model, ce, (a, b)) ->
+    QCheck2.Gen.(pair Generators.model engine_gen)
+    (fun (model, ce) ->
       let t = Cnn.Table.of_model model in
       let n = Cnn.Model.num_layers model in
       let ok = ref true in
@@ -121,13 +118,7 @@ let prop_ce_at_matches_layer =
                (let oh = Cnn.Table.out_height t i in
                 [ 0; 1; 2; 3; oh; oh + 1 ])
       done;
-      let first = a mod n and last = b mod n in
-      let first, last = (min first last, max first last) in
-      !ok
-      && bits_equal
-           (Engine.Ce.average_utilization_at ce t ~first ~last)
-           (Engine.Ce.average_utilization ce
-              (Cnn.Model.layers_in_range model ~first ~last)))
+      !ok)
 
 (* The builder's per-CE assignments: a contiguous range (single-CE
    block) or one round-robin slot of a pipelined block. *)
