@@ -6,7 +6,7 @@
      check_bench --validate-trace <trace.json>
 
    The file under test must carry the schema its bench writes now
-   (mccm-bench-dse/6, mccm-bench-serve/3) and all of that schema's
+   (mccm-bench-dse/7, mccm-bench-serve/3) and all of that schema's
    members; a missing or mistyped member fails the run.  From a
    baseline only the fields its gates compare are read, so a committed
    baseline stays usable across schema generations.
@@ -94,7 +94,7 @@ let cached_rates json =
 
 let gate current_path baseline_path tolerance trace_tol =
   let cur = load current_path in
-  expect_schema cur "mccm-bench-dse/6";
+  expect_schema cur "mccm-bench-dse/7";
   require cur
     [ "fig10_samples"; "recommended_domains"; "workloads";
       "exhaustive_parallel"; "enumerate_pruned"; "artifacts" ];

@@ -332,8 +332,8 @@ let bench_dse () =
    outside the timed region — the steady-state DSE loop) and cold (the
    call spawns and retires its own crew, so pool amortisation shows up
    as the cold/warm gap).  A traced 4-domain pooled run supplies the
-   per-phase breakdown (warm-up / fork / chunk / absorb seconds) the
-   JSON records.  CI gates 4-domain vs 1-domain warm throughput — but
+   per-phase breakdown (chunk seconds, rounds, chunks) the JSON
+   records.  CI gates 4-domain vs 1-domain warm throughput — but
    only when the recording machine actually had >= 4 cores, so the JSON
    also records the runner's recommended domain count — plus a
    winners-identical matrix over {1,2,4} domains x {pruned, unpruned}. *)
@@ -345,10 +345,7 @@ type par_point = {
 }
 
 type par_phases = {
-  ph_warmup_s : float;
-  ph_fork_s : float;
   ph_chunk_s : float;
-  ph_absorb_s : float;
   ph_rounds : int;
   ph_chunks : int;
 }
@@ -415,9 +412,8 @@ let bench_parallel () =
         })
       [ 1; 2; 4 ]
   in
-  (* Per-phase breakdown of one traced 4-domain pooled run: where the
-     parallel wall-clock actually goes (warm-up, session forks, chunk
-     execution, memo absorption). *)
+  (* Per-phase breakdown of one traced 4-domain pooled run: chunk
+     execution time over its rounds and chunks. *)
   let phases =
     let pool = Util.Parallel.Pool.create ~clamp:false ~domains:4 () in
     Fun.protect
@@ -439,10 +435,7 @@ let bench_parallel () =
             (List.assoc_opt n snap.Mccm_obs.Metric.counters)
         in
         {
-          ph_warmup_s = hist "dse.parallel.warmup_s";
-          ph_fork_s = hist "dse.parallel.fork_s";
           ph_chunk_s = hist "dse.parallel.chunk_s";
-          ph_absorb_s = hist "dse.parallel.absorb_s";
           ph_rounds = counter "dse.parallel.rounds";
           ph_chunks = counter "dse.parallel.chunks";
         })
@@ -506,10 +499,8 @@ let bench_parallel () =
     points;
   Util.Table.print table;
   Format.printf
-    "4-domain pooled phases: warmup %.3fs, fork %.3fs, chunk %.3fs, absorb \
-     %.3fs over %d round(s) / %d chunk(s)@."
-    phases.ph_warmup_s phases.ph_fork_s phases.ph_chunk_s phases.ph_absorb_s
-    phases.ph_rounds phases.ph_chunks;
+    "4-domain pooled phases: chunk %.3fs over %d round(s) / %d chunk(s)@."
+    phases.ph_chunk_s phases.ph_rounds phases.ph_chunks;
   Format.printf "winners identical across domains x pruning: %b@."
     winners_identical;
   if not winners_identical then
@@ -599,7 +590,7 @@ let bench_pruned () =
 let write_bench_json ~path rows par pruned =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.bprintf buf fmt in
-  add "{\n  \"schema\": \"mccm-bench-dse/6\",\n";
+  add "{\n  \"schema\": \"mccm-bench-dse/7\",\n";
   add "  \"fig10_samples\": %d,\n" !fig10_samples;
   add "  \"recommended_domains\": %d,\n" (Util.Parallel.recommended ());
   add "  \"workloads\": [\n";
@@ -635,11 +626,10 @@ let write_bench_json ~path rows par pruned =
     par.par_ces par.par_max_specs par.par_enumerated par.par_prune_ratio;
   add "    \"winners_identical\": %b,\n" par.par_winners_identical;
   add
-    "    \"phases\": { \"warmup_s\": %.6f, \"fork_s\": %.6f, \"chunk_s\": \
-     %.6f, \"absorb_s\": %.6f, \"rounds\": %d, \"chunks\": %d },\n"
-    par.par_phases.ph_warmup_s par.par_phases.ph_fork_s
-    par.par_phases.ph_chunk_s par.par_phases.ph_absorb_s
-    par.par_phases.ph_rounds par.par_phases.ph_chunks;
+    "    \"phases\": { \"chunk_s\": %.6f, \"rounds\": %d, \"chunks\": %d \
+     },\n"
+    par.par_phases.ph_chunk_s par.par_phases.ph_rounds
+    par.par_phases.ph_chunks;
   add "    \"domains\": [\n";
   let np = List.length par.par_points in
   List.iteri

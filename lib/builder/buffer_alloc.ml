@@ -75,48 +75,18 @@ let weight_stream_granule_elements = 16384
    the engine signatures; the greedy passes that later mutate the floor
    stay per-architecture and uncached. *)
 
-type engine_sig = {
-  e_pes : int;
-  e_par : int * int * int * int * int * int;
-  e_df : Engine.Dataflow.t;
-}
-
-let engine_sig (e : Engine.Ce.t) =
-  let f d = Engine.Parallelism.factor e.Engine.Ce.parallelism d in
-  {
-    e_pes = e.Engine.Ce.pes;
-    e_par =
-      ( f Engine.Parallelism.Filters,
-        f Engine.Parallelism.Channels,
-        f Engine.Parallelism.Height,
-        f Engine.Parallelism.Width,
-        f Engine.Parallelism.Kernel_h,
-        f Engine.Parallelism.Kernel_w );
-    e_df = e.Engine.Ce.dataflow;
-  }
-
-let fp_engine_sig h s =
-  let a, b, c, d, e, f = s.e_par in
-  let h = Util.Fingerprint.int h s.e_pes in
-  let h = List.fold_left Util.Fingerprint.int h [ a; b; c; d; e; f ] in
-  Util.Fingerprint.int h
-    (match s.e_df with
-    | Engine.Dataflow.Weight_stationary -> 0
-    | Engine.Dataflow.Output_stationary -> 1
-    | Engine.Dataflow.Input_stationary -> 2)
-
 type block_key = {
   k_fp : int;
   k_first : int;
   k_last : int;
-  k_engs : engine_sig array;
+  k_engs : Engine.Ce.signature array;
 }
 
 let block_key ~first ~last engs =
   let h = Util.Fingerprint.empty in
   let h = Util.Fingerprint.int h first in
   let h = Util.Fingerprint.int h last in
-  let h = Util.Fingerprint.array fp_engine_sig h engs in
+  let h = Util.Fingerprint.array Engine.Ce.fingerprint h engs in
   { k_fp = Util.Fingerprint.to_int h; k_first = first; k_last = last;
     k_engs = engs }
 
@@ -158,23 +128,6 @@ let create_cache () =
 
 let cache_hits c = c.cache_hits
 let cache_misses c = c.cache_misses
-
-(* The copy starts with fresh counters so a later [absorb_cache] adds
-   only the fork's own activity, not a second copy of the parent's. *)
-let copy_cache c =
-  { pipes = Block_tbl.copy c.pipes; singles = Block_tbl.copy c.singles;
-    cache_hits = 0; cache_misses = 0 }
-
-let absorb_cache ~into c =
-  Block_tbl.iter
-    (fun k v -> if not (Block_tbl.mem into.pipes k) then Block_tbl.add into.pipes k v)
-    c.pipes;
-  Block_tbl.iter
-    (fun k v ->
-      if not (Block_tbl.mem into.singles k) then Block_tbl.add into.singles k v)
-    c.singles;
-  into.cache_hits <- into.cache_hits + c.cache_hits;
-  into.cache_misses <- into.cache_misses + c.cache_misses
 
 (* The planning floor (row-streaming minima and tiling search) is the
    expensive part of a plan; wrap its computation in a span so traces
@@ -219,7 +172,7 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
       memo_block
         (fun c -> c.singles)
         cache
-        (block_key ~first ~last [| engine_sig engine |])
+        (block_key ~first ~last [| Engine.Ce.signature engine |])
         (fun () ->
           let wt = ref 1 and mf = ref 1 in
           for i = first to last do
@@ -397,7 +350,7 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
       memo_block
         (fun c -> c.pipes)
         cache
-        (block_key ~first ~last (Array.map engine_sig engs))
+        (block_key ~first ~last (Array.map Engine.Ce.signature engs))
         (pipe_floor ~engs ~first ~last)
     in
     (* The greedy passes mutate rows/tiles in place; the cached floor must

@@ -58,20 +58,10 @@ type cache
     cache must only ever be used with the (model, board) it first saw;
     {!Mccm.Eval_session} enforces this scoping.  The greedy passes that
     spend leftover BRAM across blocks remain per-architecture and are
-    never cached.  A cache is not thread-safe; use {!copy_cache} to give
-    each domain its own and {!absorb_cache} to merge afterwards. *)
+    never cached.  A cache is not thread-safe: a domain uses only its
+    own session's cache. *)
 
 val create_cache : unit -> cache
-
-val copy_cache : cache -> cache
-(** Snapshot for handing to another domain.  The copy's hit/miss
-    counters start at zero so {!absorb_cache} adds only the fork's own
-    activity. *)
-
-val absorb_cache : into:cache -> cache -> unit
-(** Merge entries (and hit/miss counters) from a forked cache;
-    first-writer wins on key clashes (entries are content-keyed, so
-    clashing values are equal anyway). *)
 
 val cache_hits : cache -> int
 val cache_misses : cache -> int

@@ -52,16 +52,6 @@ type cache = {
 let create_cache () =
   { c_plans = Buffer_alloc.create_cache (); c_pars = Hashtbl.create 64 }
 
-let copy_cache c =
-  { c_plans = Buffer_alloc.copy_cache c.c_plans;
-    c_pars = Hashtbl.copy c.c_pars }
-
-let absorb_cache ~into c =
-  Buffer_alloc.absorb_cache ~into:into.c_plans c.c_plans;
-  Hashtbl.iter
-    (fun k v -> if not (Hashtbl.mem into.c_pars k) then Hashtbl.add into.c_pars k v)
-    c.c_pars
-
 let plan_cache c = c.c_plans
 
 let c_builds = Mccm_obs.Metric.counter "build.builds"

@@ -50,19 +50,10 @@ type cache
     parallelism chosen per CE layer assignment.  A cache must only be
     used with the one (model, board, options) triple it was created
     for — {!Mccm.Eval_session} enforces that scoping.  Results are
-    bit-identical with and without it.  Not thread-safe: hand each
-    domain its own {!copy_cache} and merge with {!absorb_cache}. *)
+    bit-identical with and without it.  Not thread-safe: a domain uses
+    only its own session's cache. *)
 
 val create_cache : unit -> cache
-
-val copy_cache : cache -> cache
-(** Snapshot for handing to another domain (planning-floor counters in
-    the copy start at zero so {!absorb_cache} adds only the fork's own
-    activity). *)
-
-val absorb_cache : into:cache -> cache -> unit
-(** Merge entries and counters from a forked cache; first writer wins
-    on key clashes (content-keyed, so clashing values are equal). *)
 
 val plan_cache : cache -> Buffer_alloc.cache
 (** The embedded planning-floor cache (for its hit/miss counters). *)

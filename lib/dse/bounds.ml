@@ -50,14 +50,12 @@ type t = {
   mem_floor_s : float;          (* (weights + net input + output) / bw *)
   dsps : int;
   total_macs : int;
-  lock : Mutex.t;
-  mutable contexts : (int * ctx) list;
 }
 
 (* Per-CE-count context: the quantization floors depend on the PE cap
    [dsps - ces + 1] and the head floors on the per-layer share ceiling,
    both functions of [ces] alone given the table and board. *)
-and ctx = {
+type ctx = {
   cx_owner : t;
   cx_cap : int;                 (* dsps - ces + 1, at least 1 *)
   cx_spare : int;               (* dsps - ces, at least 0 *)
@@ -97,8 +95,6 @@ let create table board =
     mem_floor_s = Platform.Board.bytes_to_seconds board mem_bytes;
     dsps = board.Platform.Board.dsps;
     total_macs = Cnn.Table.total_macs table;
-    lock = Mutex.create ();
-    contexts = [];
   }
 
 let table t = t.table
@@ -108,7 +104,8 @@ let mem_floor_s t = t.mem_floor_s
 let global_ii_cycles t =
   if t.dsps > 0 then float_of_int t.total_macs /. float_of_int t.dsps else 0.0
 
-let make_ctx t ces =
+let context t ~ces =
+  if ces < 2 then invalid_arg "Bounds.context: ces < 2";
   let n = Cnn.Table.num_layers t.table in
   let cap = max 1 (t.dsps - ces + 1) in
   let spare = max 0 (t.dsps - ces) in
@@ -162,29 +159,6 @@ let make_ctx t ces =
     cx_head_pfxmax = head_pfxmax;
     cx_head_ceil_pfx = head_ceil_pfx;
   }
-
-let context t ~ces =
-  if ces < 2 then invalid_arg "Bounds.context: ces < 2";
-  let existing =
-    Mutex.lock t.lock;
-    let r = List.assoc_opt ces t.contexts in
-    Mutex.unlock t.lock;
-    r
-  in
-  match existing with
-  | Some c -> c
-  | None ->
-    let c = make_ctx t ces in
-    Mutex.lock t.lock;
-    let r =
-      match List.assoc_opt ces t.contexts with
-      | Some c' -> c'
-      | None ->
-        t.contexts <- (ces, c) :: t.contexts;
-        c
-    in
-    Mutex.unlock t.lock;
-    r
 
 (* Real-valued allocation floor: cycles of a single-CE segment with
    [m] MACs are at least [m / min (cap, 2 + spare * m / total)] — the

@@ -34,21 +34,20 @@
     of this contract over random model/board/spec draws. *)
 
 type t
-(** Bound context for one (table, board) pair.  Per-CE-count floors are
-    derived lazily and memoised; the memo is mutex-protected, so a
-    context may be shared across domains (warm the CE counts you need
-    before forking to keep the parallel phase read-only). *)
+(** Bound context for one (table, board) pair: the board-wide floors.
+    Immutable. *)
 
 type ctx
 (** Per-CE-count floor tables (PE cap, quantization prefix sums, head
-    share ceilings) — the unit of {!segment_ii_floor} and friends. *)
+    share ceilings) — the unit of {!segment_ii_floor} and friends.
+    Immutable, so one may be read from several domains at once. *)
 
 val create : Cnn.Table.t -> Platform.Board.t -> t
-(** O(1); the per-CE-count work happens on first {!context} use
-    (O(n sqrt extents) per CE count). *)
+(** O(1); the per-CE-count work happens in {!context}. *)
 
 val context : t -> ces:int -> ctx
-(** The floor tables for designs with exactly [ces] engines.
+(** Builds the floor tables for designs with exactly [ces] engines
+    (O(n sqrt extents); nothing is memoised, so build one per scan).
     @raise Invalid_argument if [ces < 2]. *)
 
 val table : t -> Cnn.Table.t

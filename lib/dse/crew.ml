@@ -1,22 +1,15 @@
-(* Warm per-worker evaluation-session crews.
+(* Per-worker evaluation-session crews.
 
-   Every Domains-parallel consumer in the DSE layer used to pay the
-   same three costs on every parallel call: a [Domain.spawn] per chunk,
-   an [Eval_session.fork] per chunk, and a cold start inside each fork
-   (empty plan/segment tables, unprimed builder memos).  A crew
-   amortises all three: it runs on a persistent {!Util.Parallel.Pool}
-   (spawn once), forks exactly one session per pool worker (the caller
-   keeps the parent as worker 0), and forks only after an optional
-   sequential warm-up pass has populated the parent's tables — so every
-   fork starts warm.  Chunk-to-worker assignment is racy, but each
-   worker's session is a semantically invisible cache: as long as the
-   mapped function's output depends only on its [(lo, hi)] range the
-   overall result is deterministic, chunk results merging in order. *)
+   A crew runs on a persistent {!Util.Parallel.Pool} (spawn once) and
+   gives every pool worker its own session for the crew's life: worker 0
+   is the caller's session, the others are fresh siblings made on the
+   first parallel round and dropped by [finish].  Chunk-to-worker
+   assignment is racy, but each worker's session is a semantically
+   invisible cache: as long as the mapped function's output depends only
+   on its [(lo, hi)] range the overall result is deterministic, chunk
+   results merging in order. *)
 
-let h_warm = Mccm_obs.Metric.histogram "dse.parallel.warmup_s"
-let h_fork = Mccm_obs.Metric.histogram "dse.parallel.fork_s"
 let h_chunk = Mccm_obs.Metric.histogram "dse.parallel.chunk_s"
-let h_absorb = Mccm_obs.Metric.histogram "dse.parallel.absorb_s"
 let c_rounds = Mccm_obs.Metric.counter "dse.parallel.rounds"
 let c_chunks = Mccm_obs.Metric.counter "dse.parallel.chunks"
 
@@ -26,50 +19,27 @@ type t = {
   pool : Util.Parallel.Pool.t option; (* None: strictly sequential *)
   owned : bool;                       (* shutdown on finish? *)
   session : Mccm.Eval_session.t;
-  mutable forks : Mccm.Eval_session.t array;
-      (* [||] until first parallel round; then [forks.(0) == session]
-         and [forks.(w)] is worker [w]'s private fork *)
+  mutable sessions : Mccm.Eval_session.t array;
+      (* [||] until the first parallel round; then [sessions.(0) ==
+         session] and [sessions.(w)] is worker [w]'s sibling *)
 }
 
 let create ?pool ?clamp ?(domains = 1) session =
   match pool with
-  | Some p -> { pool = Some p; owned = false; session; forks = [||] }
+  | Some p -> { pool = Some p; owned = false; session; sessions = [||] }
   | None ->
     let d = Util.Parallel.effective ?clamp ~domains ~n:max_int () in
-    if d = 1 then { pool = None; owned = false; session; forks = [||] }
+    if d = 1 then { pool = None; owned = false; session; sessions = [||] }
     else
       {
         pool = Some (Util.Parallel.Pool.create ~clamp:false ~domains:d ());
         owned = true;
         session;
-        forks = [||];
+        sessions = [||];
       }
 
 let size t =
   match t.pool with None -> 1 | Some p -> Util.Parallel.Pool.size p
-
-let session t = t.session
-
-let warmed t = Array.length t.forks > 0
-
-let warmup t f =
-  (* Only worth running when the crew will fork — and only before it
-     has: a later warm-up could not reach already-forked sessions. *)
-  if size t > 1 && not (warmed t) then begin
-    let t0 = Mccm_obs.Clock.now_ns () in
-    f ();
-    Mccm_obs.Metric.observe h_warm (secs t0 (Mccm_obs.Clock.now_ns ()))
-  end
-
-let ensure_forks t =
-  if not (warmed t) then begin
-    let t0 = Mccm_obs.Clock.now_ns () in
-    t.forks <-
-      Array.init (size t) (fun w ->
-          if w = 0 then t.session else Mccm.Eval_session.fork t.session);
-    Mccm_obs.Metric.observe h_fork (secs t0 (Mccm_obs.Clock.now_ns ()))
-  end;
-  t.forks
 
 let map t ?chunk_hint ~n f =
   if n = 0 then []
@@ -79,12 +49,16 @@ let map t ?chunk_hint ~n f =
     | Some p when Util.Parallel.Pool.size p = 1 ->
       [ f ~session:t.session ~lo:0 ~hi:n ]
     | Some p ->
-      let forks = ensure_forks t in
+      if Array.length t.sessions = 0 then
+        t.sessions <-
+          Array.init (size t) (fun w ->
+              if w = 0 then t.session else Mccm.Eval_session.sibling t.session);
+      let sessions = t.sessions in
       let res =
         Util.Parallel.Pool.map p ?chunk_hint ~n
           (fun ~worker ~chunk:_ ~lo ~hi ->
             let c0 = Mccm_obs.Clock.now_ns () in
-            let r = f ~session:forks.(worker) ~lo ~hi in
+            let r = f ~session:sessions.(worker) ~lo ~hi in
             Mccm_obs.Metric.observe h_chunk
               (secs c0 (Mccm_obs.Clock.now_ns ()));
             r)
@@ -93,16 +67,27 @@ let map t ?chunk_hint ~n f =
       Mccm_obs.Metric.add c_chunks (List.length res);
       res
 
+let add_stats (a : Mccm.Eval_session.stats) (b : Mccm.Eval_session.stats) =
+  let sum (h, m) (h', m') = (h + h', m + m') in
+  {
+    Mccm.Eval_session.evaluations = a.evaluations + b.evaluations;
+    arch_hits = a.arch_hits + b.arch_hits;
+    seg_hits = a.seg_hits + b.seg_hits;
+    seg_misses = a.seg_misses + b.seg_misses;
+    seg_single = sum a.seg_single b.seg_single;
+    seg_pipelined = sum a.seg_pipelined b.seg_pipelined;
+    plan_hits = a.plan_hits + b.plan_hits;
+    plan_misses = a.plan_misses + b.plan_misses;
+  }
+
+let stats t =
+  let st = Mccm.Eval_session.stats in
+  Array.fold_left
+    (fun acc s -> if s == t.session then acc else add_stats acc (st s))
+    (st t.session) t.sessions
+
 let finish t =
-  let nf = Array.length t.forks in
-  if nf > 1 then begin
-    let t0 = Mccm_obs.Clock.now_ns () in
-    for w = 1 to nf - 1 do
-      Mccm.Eval_session.absorb ~into:t.session t.forks.(w)
-    done;
-    Mccm_obs.Metric.observe h_absorb (secs t0 (Mccm_obs.Clock.now_ns ()))
-  end;
-  t.forks <- [||];
+  t.sessions <- [||];
   if t.owned then
     match t.pool with
     | Some p -> Util.Parallel.Pool.shutdown p

@@ -1,15 +1,13 @@
-(** Warm per-worker evaluation-session crews for Domains-parallel DSE.
+(** Per-worker evaluation-session crews for Domains-parallel DSE.
 
-    The pre-pool parallel paths paid a [Domain.spawn], an
-    [Mccm.Eval_session.fork] and a cold fork start {e per chunk}.  A
-    crew binds one parent session to a persistent
+    A crew binds the caller's session to a persistent
     {!Util.Parallel.Pool}: domains spawn once (or are borrowed from a
-    caller-supplied pool), exactly one session fork is made per pool
-    worker — the caller keeps the parent itself as worker 0 — and the
-    forks are cut only after an optional sequential {!warmup} pass has
-    populated the parent's plan/segment tables, so every worker starts
-    warm.  {!finish} absorbs the forks back into the parent, which
-    therefore keeps learning across crews.
+    caller-supplied pool), and each pool worker evaluates on a session
+    of its own for the crew's life.  Worker 0 uses the caller's session;
+    every other worker gets an {!Mccm.Eval_session.sibling}, made on the
+    first parallel round and dropped by {!finish}, so nothing the
+    siblings cache outlives the crew.  A sequential crew runs everything
+    on the caller's session.
 
     {b Determinism.}  {!map}'s chunk-to-worker assignment is racy, but
     a worker's session is a semantically invisible (bit-exact) cache:
@@ -17,9 +15,8 @@
     range, the in-order merge makes the overall result independent of
     the crew size, the chunking, and the schedule.
 
-    Rounds, chunk counts and per-phase durations (warm-up, fork, chunk
-    execution, absorb) are recorded under the [dse.parallel.*] metric
-    names when {!Mccm_obs} stats are on. *)
+    Rounds, chunk counts and chunk execution times are recorded under
+    the [dse.parallel.*] metric names when {!Mccm_obs} stats are on. *)
 
 type t
 
@@ -38,18 +35,6 @@ val create :
 val size : t -> int
 (** Workers the crew can use, caller included; [>= 1]. *)
 
-val session : t -> Mccm.Eval_session.t
-(** The parent session. *)
-
-val warmed : t -> bool
-(** Whether the per-worker forks have been cut. *)
-
-val warmup : t -> (unit -> unit) -> unit
-(** [warmup t f] runs [f ()] sequentially on the caller — intended to
-    evaluate a small strided sample through the parent session — but
-    only when the crew will actually fork ([size > 1]) and has not yet
-    ({!warmed} is false).  No-op otherwise. *)
-
 val map :
   t ->
   ?chunk_hint:int ->
@@ -58,14 +43,20 @@ val map :
   'a list
 (** [map t ~n f] evaluates [f] over contiguous chunks of [0, n) —
     {!Util.Parallel.Pool.map} chunking, [chunk_hint] default 256 —
-    each call on its worker's fork (cut on first use), and returns the
-    chunk results in order.  Sequential crews run one inline call on
-    the parent.  [f]'s output must depend only on [(lo, hi)]. *)
+    each call on its worker's session, and returns the chunk results in
+    order.  Sequential crews run one inline call on the caller's
+    session.  [f]'s output must depend only on [(lo, hi)]. *)
+
+val stats : t -> Mccm.Eval_session.stats
+(** The field-wise sum of the counters of every session the crew has
+    used so far: the caller's session (all its counters, including what
+    it counted before the crew) plus each sibling's.  Read it before
+    {!finish}, which drops the siblings. *)
 
 val finish : t -> unit
-(** Absorb the forks back into the parent session and, if the crew
-    owns its pool, shut it down.  The crew may be reused afterwards
-    (fresh forks are cut on the next {!map}). *)
+(** Drop the siblings and, if the crew owns its pool, shut it down.
+    The crew may be reused afterwards (fresh siblings are made on the
+    next parallel {!map}). *)
 
 val with_crew :
   ?pool:Util.Parallel.Pool.t ->

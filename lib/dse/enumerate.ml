@@ -44,21 +44,6 @@ let session_or_fresh ~fn session model board =
     s
   | None -> Mccm.Eval_session.create model board
 
-(* Sequential warm-up for a crew: run a small strided sample of the
-   spec rows through the parent session so its plan/segment tables are
-   populated before the per-worker forks are cut.  Caching is
-   bit-invisible, so the warm-up cannot change any result; it only
-   moves the cold start off the parallel phase. *)
-let warm_strided ~session ~buf ~width ~n model =
-  let stride = max 1 (n / 16) in
-  let i = ref 0 in
-  while !i < n do
-    ignore
-      (Mccm.Eval_session.metrics session
-         (Arch.Custom.arch_of_spec model (Space.Flat.decode buf ~width !i)));
-    i := !i + stride
-  done
-
 let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
     model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive" @@ fun () ->
@@ -86,7 +71,6 @@ let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
     List.rev !out
   in
   Crew.with_crew ?pool ?clamp ~domains session (fun crew ->
-      Crew.warmup crew (fun () -> warm_strided ~session ~buf ~width ~n model);
       List.concat (Crew.map crew ~n eval_slice))
 
 type objective = [ `Throughput | `Latency ]
@@ -122,12 +106,13 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
   in
   let n = Space.Flat.count buf ~width in
   Mccm_obs.Metric.add c_exhaustive n;
-  let b = Bounds.create table board in
-  (* Hoisting the per-CE-count ctx takes the memo mutex out of the hot
-     loop, and the flat bounds walk each row in place: a pruned
-     candidate costs no allocation at all — rows are decoded to a spec
-     only when they survive the bound and must be evaluated. *)
-  let ctx = if prune then Some (Bounds.context b ~ces) else None in
+  (* One ctx for the scan, and the flat bounds walk each row in place:
+     a pruned candidate costs no allocation at all — rows are decoded to
+     a spec only when they survive the bound and must be evaluated. *)
+  let ctx =
+    if prune then Some (Bounds.context (Bounds.create table board) ~ces)
+    else None
+  in
   let bound =
     match (objective, ctx) with
     | _, None -> fun _ -> infinity
@@ -167,8 +152,6 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
   let chunks =
     Crew.with_crew ?pool ?clamp ~domains session (fun crew ->
         crew_size := Crew.size crew;
-        Crew.warmup crew (fun () ->
-            warm_strided ~session ~buf ~width ~n model);
         Crew.map crew ~n scan)
   in
   let best, evaluated, pruned =
@@ -279,11 +262,10 @@ let local_search ~objective ?(max_steps = 25) ?session ?(domains = 1) ?clamp
   let score m =
     if m.Mccm.Metrics.feasible then objective m else neg_infinity
   in
-  (* One crew for the whole climb: the old path re-forked the session
-     and re-spawned a domain per chunk on every single step.  Here the
-     per-worker forks are cut once — after the seed evaluation has
-     warmed the parent — and every step's neighbourhood is mapped as
-     singleton chunks over the same crew. *)
+  (* One crew for the whole climb: domains spawn and worker sessions
+     are made once, and every step's neighbourhood is mapped as
+     singleton chunks over the same crew, so each worker's session
+     keeps what it learned in earlier steps. *)
   Crew.with_crew ?pool ?clamp ~domains session @@ fun crew ->
   let eval_all cands =
     List.concat

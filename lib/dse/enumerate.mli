@@ -31,10 +31,10 @@ val exhaustive :
     (default: a fresh one) memoizes segment terms across the
     lexicographic scan — neighbouring specs share nearly all blocks —
     and across calls; results are bit-identical with or without it.
-    [domains] (default 1) runs the scan on a {!Crew}: one warm session
-    fork per pool worker (after a sequential strided warm-up pass),
-    deterministic contiguous chunks merged in order, forks absorbed at
-    the end.  [domains] is clamped to [Domain.recommended_domain_count]
+    [domains] (default 1) runs the scan on a {!Crew}: one session per
+    pool worker ([session] itself for worker 0, a cold sibling for each
+    other, dropped at the end), deterministic contiguous chunks merged
+    in order.  [domains] is clamped to [Domain.recommended_domain_count]
     unless [~clamp:false]; [pool] reuses a caller-owned domain pool
     (then [domains]/[clamp] are ignored).  The result is identical for
     every domain count.
@@ -120,8 +120,8 @@ val local_search :
     only those are recomputed; results are bit-identical with or
     without it.  [domains] (default 1, clamped like {!exhaustive})
     evaluates each step's neighbourhood on one {!Crew} kept for the
-    whole climb — domains spawn and sessions fork once per search, not
-    once per step; [pool] reuses a caller-owned domain pool across
+    whole climb — domains spawn and worker sessions are made once per
+    search, not once per step; [pool] reuses a caller-owned domain pool across
     searches.  None of these change the trajectory.
     @raise Invalid_argument if [session] is bound to a different model
     or board. *)

@@ -73,30 +73,22 @@ let run ?(seed = 42L) ?(ce_counts = Arch.Baselines.default_ce_counts)
   Mccm_obs.Metric.add c_sampled samples;
   Mccm_obs.Metric.add c_distinct distinct;
   Mccm_obs.Metric.add c_duplicates (samples - distinct);
-  let all =
+  let all, stats =
     Mccm_obs.span ~cat:"dse" "dse.eval"
       ~args:[ ("designs", string_of_int distinct) ]
     @@ fun () ->
     (* Contiguous chunks, concatenated back in order.  Each pool worker
-       evaluates on its own session fork (the tables are not
-       thread-safe), cut once per run after a sequential strided
-       warm-up; forks merge back at the end, so a session reused across
-       runs keeps learning.  Caching is bit-invisible, hence the result
-       stays independent of the domain count, the pool and the
-       chunking. *)
+       evaluates on its own session (the tables are not thread-safe):
+       worker 0 on the caller's, the others on siblings dropped at the
+       end.  Caching is bit-invisible, hence the result stays
+       independent of the domain count, the pool and the chunking. *)
     Crew.with_crew ?pool ?clamp ~domains session (fun crew ->
-        Crew.warmup crew (fun () ->
-            let stride = max 1 (distinct / 16) in
-            let i = ref 0 in
-            while !i < distinct do
-              ignore
-                (Mccm.Eval_session.metrics session
-                   (Arch.Custom.arch_of_spec model specs.(!i)));
-              i := !i + stride
-            done);
-        List.concat
-          (Crew.map crew ~n:distinct (fun ~session ~lo ~hi ->
-               eval_slice ~session ~specs ~lo ~hi model)))
+        let all =
+          List.concat
+            (Crew.map crew ~n:distinct (fun ~session ~lo ~hi ->
+                 eval_slice ~session ~specs ~lo ~hi model))
+        in
+        (all, Crew.stats crew))
   in
   let evaluated = List.filter (fun e -> e.metrics.Mccm.Metrics.feasible) all in
   List.iter
@@ -111,7 +103,7 @@ let run ?(seed = 42L) ?(ce_counts = Arch.Baselines.default_ce_counts)
     evaluated;
     front = Pareto.front (List.map point evaluated);
     elapsed_s;
-    stats = Mccm.Eval_session.stats session;
+    stats;
   }
 
 let improvement_over r ~reference =

@@ -16,7 +16,10 @@ type result = {
   front : evaluated Pareto.point list;
       (** throughput-up / buffer-down Pareto front *)
   elapsed_s : float;                  (** wall time of the sweep *)
-  stats : Mccm.Eval_session.stats;    (** session counters after the sweep *)
+  stats : Mccm.Eval_session.stats;
+      (** counters of every session that evaluated, summed
+          ({!Crew.stats}): the caller's session, including what it
+          counted before this run, plus each worker sibling's *)
 }
 
 val run :
@@ -33,15 +36,16 @@ val run :
 (** [run ~samples model board] draws custom designs uniformly (CE counts
     default to the paper's 2-11), evaluates each distinct design once
     with the analytical model (a duplicate draw is dropped before
-    evaluation, so [stats.evaluations] grows by [distinct]), and
+    evaluation, so [stats.evaluations] grows by [distinct] at every
+    domain count), and
     extracts the throughput/buffer Pareto front.  [evaluated] keeps
     each distinct design's first occurrence, feasible ones only.
     Deterministic for a fixed [seed] (default 42), independent of
     [domains], [pool] and of [session] warmth.
 
     [domains] (default 1) spreads the evaluation over a {!Crew}: one
-    warm session fork per pool worker, deterministic contiguous chunks
-    merged in draw order.  The whole design set is drawn from a single
+    session per pool worker, deterministic contiguous chunks merged in
+    draw order.  The whole design set is drawn from a single
     PRNG stream before any evaluation starts, so a given
     [(seed, samples)] pair yields the same designs — and the same
     result, in the same order — for every domain count.  The value is
@@ -55,10 +59,9 @@ val run :
     same (model, board) to keep its caches warm.  A design revisited by
     a later run is served by the session's segment and planning-floor
     caches: it adds no misses to either, so the session does not grow.
-    With a multi-worker crew each worker evaluates on a
-    {!Mccm.Eval_session.fork}, merged back at the end (the strided
-    warm-up before the forks adds its evaluations to the session's
-    count).
+    With a multi-worker crew, worker 0 evaluates on [session] and every
+    other worker on a cold {!Mccm.Eval_session.sibling} dropped at the
+    end, so [session] keeps only worker 0's share of the sweep.
     @raise Invalid_argument if [session] is bound to a different
     model or board ({!Mccm.Eval_session.check}). *)
 

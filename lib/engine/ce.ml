@@ -85,6 +85,34 @@ let average_utilization t layers =
   in
   weighted /. total
 
+(* Everything but the display id: the fields every cost quantity
+   reads, which makes it the engine part of a memo key. *)
+type signature = {
+  sig_pes : int;
+  sig_par : Parallelism.t;
+  sig_df : Dataflow.t;
+}
+
+let signature t =
+  { sig_pes = t.pes; sig_par = t.parallelism; sig_df = t.dataflow }
+
+let fingerprint h s =
+  let module P = Parallelism in
+  let module Fp = Util.Fingerprint in
+  let p = s.sig_par in
+  let h = Fp.int h s.sig_pes in
+  let h = Fp.int h (P.factor p P.Filters) in
+  let h = Fp.int h (P.factor p P.Channels) in
+  let h = Fp.int h (P.factor p P.Height) in
+  let h = Fp.int h (P.factor p P.Width) in
+  let h = Fp.int h (P.factor p P.Kernel_h) in
+  let h = Fp.int h (P.factor p P.Kernel_w) in
+  Fp.int h
+    (match s.sig_df with
+    | Dataflow.Weight_stationary -> 0
+    | Dataflow.Output_stationary -> 1
+    | Dataflow.Input_stationary -> 2)
+
 let pp ppf t =
   Format.fprintf ppf "CE%d[%d PEs, %a, %a]" t.id t.pes Parallelism.pp
     t.parallelism Dataflow.pp t.dataflow

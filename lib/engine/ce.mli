@@ -47,6 +47,20 @@ val average_utilization : t -> Cnn.Layer.t list -> float
 val pp : Format.formatter -> t -> unit
 (** e.g. ["CE3[256 PEs, F16xH4xW4, OS]"]. *)
 
+type signature
+(** An engine without its display id: the PE count, the six
+    parallelism factors and the dataflow — everything the cost models
+    read.  Memo tables key blocks on it; two signatures are equal under
+    [Stdlib.(=)] exactly when those eight values are. *)
+
+val signature : t -> signature
+(** Allocates one small record and shares [t]'s parallelism. *)
+
+val fingerprint : Util.Fingerprint.t -> signature -> Util.Fingerprint.t
+(** Folds the PE count, the factors (filters, channels, height, width,
+    kernel height, kernel width) and the dataflow into a key
+    fingerprint, allocating nothing. *)
+
 (** {1 Table-indexed versions}
 
     The same quantities computed from a {!Cnn.Table} by absolute layer

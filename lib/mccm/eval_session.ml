@@ -12,9 +12,8 @@
    bit-identical to recomputation; the session changes wall-clock only. *)
 
 (* A global observability counter next to the per-session ones: the
-   per-session stats stay the API (fork/absorb keeps them exact per
-   session); this one feeds `mccm --stats` and the bench phase
-   breakdown across every session in the process. *)
+   per-session stats stay the API; this one feeds `mccm --stats` and
+   the bench phase breakdown across every session in the process. *)
 let c_evals = Mccm_obs.Metric.counter "session.evaluations"
 
 type t = {
@@ -77,18 +76,13 @@ let evaluate t archi =
 
 let metrics t archi = (evaluate t archi).Evaluate.metrics
 
-let fork t =
+let sibling t =
   {
     t with
-    seg = Seg_cache.copy t.seg;
-    bcache = Builder.Build.copy_cache t.bcache;
+    seg = Seg_cache.create ();
+    bcache = Builder.Build.create_cache ();
     n_evals = 0;
   }
-
-let absorb ~into t =
-  Seg_cache.absorb ~into:into.seg t.seg;
-  Builder.Build.absorb_cache ~into:into.bcache t.bcache;
-  into.n_evals <- into.n_evals + t.n_evals
 
 let stats t =
   {

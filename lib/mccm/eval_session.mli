@@ -23,10 +23,10 @@
     counting evaluations, which is what the benchmark's uncached arm and
     the bit-exactness property tests run against.
 
-    Sessions are not thread-safe.  For a Domains-parallel sweep, give
-    each domain {!fork} of a shared session and {!absorb} the forks
-    after joining; since caching never changes results, the sweep's
-    output is independent of the fork/absorb schedule. *)
+    Sessions are not thread-safe.  A Domains-parallel sweep gives each
+    further domain its own {!sibling}; since caching never changes
+    results, the sweep's output does not depend on which session served
+    which design. *)
 
 type t
 
@@ -65,15 +65,10 @@ val evaluate : t -> Arch.Block.arch -> Evaluate.t
 val metrics : t -> Arch.Block.arch -> Metrics.t
 (** [(evaluate t archi).metrics]. *)
 
-val fork : t -> t
-(** Snapshot for another domain: same (model, board, options), copied
-    tables, zeroed counters (so a later {!absorb} adds only the fork's
-    own activity). *)
-
-val absorb : into:t -> t -> unit
-(** Merge a fork's cache entries and counters back.  First-writer wins
-    on key clashes; entries are content-keyed, so clashing values are
-    equal and the merge order never affects results. *)
+val sibling : t -> t
+(** A session for another domain: the same model, board, options,
+    [memoize] flag and {!Cnn.Table} (immutable, so shared), with empty
+    caches and zeroed counters.  Nothing flows back to [t]. *)
 
 type stats = {
   evaluations : int;  (** requests served, cached or not *)

@@ -12,37 +12,7 @@
    with the full structural payload (exact equality on lookup), so a
    hash collision only costs a comparison, never correctness. *)
 
-type engine_sig = {
-  pes : int;
-  par : int * int * int * int * int * int;
-  df : int;
-}
-
-let engine_sig (e : Engine.Ce.t) =
-  let f d = Engine.Parallelism.factor e.Engine.Ce.parallelism d in
-  {
-    pes = e.Engine.Ce.pes;
-    par =
-      ( f Engine.Parallelism.Filters,
-        f Engine.Parallelism.Channels,
-        f Engine.Parallelism.Height,
-        f Engine.Parallelism.Width,
-        f Engine.Parallelism.Kernel_h,
-        f Engine.Parallelism.Kernel_w );
-    df =
-      (match e.Engine.Ce.dataflow with
-      | Engine.Dataflow.Weight_stationary -> 0
-      | Engine.Dataflow.Output_stationary -> 1
-      | Engine.Dataflow.Input_stationary -> 2);
-  }
-
 module Fp = Util.Fingerprint
-
-let fp_engine_sig h s =
-  let a, b, c, d, e, f = s.par in
-  let h = Fp.int h s.pes in
-  let h = List.fold_left Fp.int h [ a; b; c; d; e; f ] in
-  Fp.int h s.df
 
 (* The single-CE evaluator reads its plan slice only through
    [fm_capacity_bytes], and is piecewise constant in it — so the key
@@ -58,7 +28,7 @@ type single_key = {
   s_fp : int;
   s_first : int;
   s_last : int;
-  s_eng : engine_sig;
+  s_eng : Engine.Ce.signature;
   s_in : bool;
   s_out : bool;
 }
@@ -67,7 +37,7 @@ let single_key ~eng ~first ~last ~input_on_chip ~output_on_chip =
   let h = Fp.empty in
   let h = Fp.int h first in
   let h = Fp.int h last in
-  let h = fp_engine_sig h eng in
+  let h = Engine.Ce.fingerprint h eng in
   let h = Fp.bool h input_on_chip in
   let h = Fp.bool h output_on_chip in
   { s_fp = Fp.to_int h; s_first = first; s_last = last; s_eng = eng;
@@ -83,7 +53,7 @@ type pipe_key = {
   p_fp : int;
   p_first : int;
   p_last : int;
-  p_engs : engine_sig array;
+  p_engs : Engine.Ce.signature array;
   p_ws : int;
   p_rows : int array;
   p_fm : int array;
@@ -100,7 +70,7 @@ let pipe_key ~engs ~plan ~first ~last ~input_on_chip ~output_on_chip =
   let h = Fp.empty in
   let h = Fp.int h first in
   let h = Fp.int h last in
-  let h = Fp.array fp_engine_sig h engs in
+  let h = Fp.array Engine.Ce.fingerprint h engs in
   let h = Fp.int h ws in
   let h = Fp.array Fp.int h rows in
   let h = Fp.array Fp.int h fm in
@@ -133,9 +103,9 @@ module Pipe_tbl = Hashtbl.Make (struct
     && a.p_ret = b.p_ret
 end)
 
-(* Global hit/miss counters alongside the per-cache ones: forked caches
-   all feed the same process-wide metrics, which is what `mccm --stats`
-   and the bench hit-rate fields report. *)
+(* Global hit/miss counters alongside the per-cache ones: every
+   session's cache feeds the same process-wide metrics, which is what
+   `mccm --stats` and the bench hit-rate fields report. *)
 let c_s_hit = Mccm_obs.Metric.counter "seg.single.hit"
 let c_s_miss = Mccm_obs.Metric.counter "seg.single.miss"
 let c_p_hit = Mccm_obs.Metric.counter "seg.pipelined.hit"
@@ -160,46 +130,9 @@ let misses t = t.s_misses + t.p_misses
 let single_counts t = (t.s_hits, t.s_misses)
 let pipelined_counts t = (t.p_hits, t.p_misses)
 
-(* The copy starts with fresh counters so a later [absorb] adds only the
-   fork's own activity, not a second copy of the parent's. *)
-let copy t =
-  { singles = Single_tbl.copy t.singles; pipes = Pipe_tbl.copy t.pipes;
-    s_hits = 0; s_misses = 0; p_hits = 0; p_misses = 0 }
-
-let absorb ~into t =
-  (* Per-piece union: two domains may have explored different capacity
-     pieces of the same segment.  Exact-duplicate intervals (the common
-     case) are dropped; first writer wins on any overlap. *)
-  Single_tbl.iter
-    (fun k pieces ->
-      match Single_tbl.find_opt into.singles k with
-      | None -> Single_tbl.add into.singles k pieces
-      | Some existing ->
-        let fresh =
-          List.filter
-            (fun p ->
-              not
-                (List.exists
-                   (fun (q : Single_ce_model.result) ->
-                     q.cap_lo = p.Single_ce_model.cap_lo
-                     && q.cap_hi = p.Single_ce_model.cap_hi)
-                   existing))
-            pieces
-        in
-        if fresh <> [] then
-          Single_tbl.replace into.singles k (existing @ fresh))
-    t.singles;
-  Pipe_tbl.iter
-    (fun k v -> if not (Pipe_tbl.mem into.pipes k) then Pipe_tbl.add into.pipes k v)
-    t.pipes;
-  into.s_hits <- into.s_hits + t.s_hits;
-  into.s_misses <- into.s_misses + t.s_misses;
-  into.p_hits <- into.p_hits + t.p_hits;
-  into.p_misses <- into.p_misses + t.p_misses
-
 let single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip compute =
   let key =
-    single_key ~eng:(engine_sig engine) ~first ~last ~input_on_chip
+    single_key ~eng:(Engine.Ce.signature engine) ~first ~last ~input_on_chip
       ~output_on_chip
   in
   let pieces =
@@ -225,7 +158,7 @@ let single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip compute =
 let pipelined t ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip
     compute =
   let key =
-    pipe_key ~engs:(Array.map engine_sig engines) ~plan ~first ~last
+    pipe_key ~engs:(Array.map Engine.Ce.signature engines) ~plan ~first ~last
       ~input_on_chip ~output_on_chip
   in
   match Pipe_tbl.find_opt t.pipes key with

@@ -16,8 +16,7 @@
     Cached results are immutable and shared; hits are bit-identical to
     recomputation by construction (keys carry full structural payloads,
     so fingerprint collisions cannot alias distinct keys).  A cache is
-    not thread-safe: give each domain its own via {!copy} and merge with
-    {!absorb}. *)
+    not thread-safe: a domain uses only its own session's cache. *)
 
 type t
 
@@ -66,12 +65,3 @@ val single_counts : t -> int * int
 
 val pipelined_counts : t -> int * int
 (** Hit/miss counts for the pipelined table alone. *)
-
-val copy : t -> t
-(** Snapshot for handing to another domain.  The copy's hit/miss
-    counters start at zero so {!absorb} adds only the fork's own
-    activity. *)
-
-val absorb : into:t -> t -> unit
-(** Merge entries and counters from a forked cache; first-writer wins on
-    key clashes (content-keyed, so clashing values are equal anyway). *)

@@ -82,7 +82,7 @@ module Pool = struct
       }
     in
     (* Worker [w >= 1] lives in [doms.(w - 1)] for the pool's whole
-       life, so a caller's per-worker state (say a forked evaluation
+       life, so a caller's per-worker state (say a worker's evaluation
        session) stays on the domain that created it. *)
     t.doms <-
       Array.init (size - 1) (fun i ->

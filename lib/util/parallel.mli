@@ -11,7 +11,7 @@
     {!Pool} keeps a persistent crew of worker domains that serve any
     number of rounds, so a search that makes many parallel passes
     (local-search steps, repeated sweeps) spawns its domains once, and
-    per-worker warm state (forked evaluation sessions) lives as long as
+    per-worker state (a worker's evaluation session) lives as long as
     the whole search; {!map_pooled} is the one-shot convenience
     wrapper. *)
 
@@ -39,7 +39,7 @@ module Pool : sig
   (** A fixed crew of domains: the creating domain participates as
       worker 0, and [size - 1] spawned domains are workers
       [1 .. size - 1].  Worker ids are stable for the pool's life, so
-      per-worker caller state (a forked evaluation session, a scratch
+      per-worker caller state (a worker's evaluation session, a scratch
       buffer) stays on the domain that created it across any number of
       {!run}/{!map} rounds. *)
 

@@ -256,6 +256,22 @@ let test_explore_evaluates_distinct_once () =
   check "distinct" 1 r.Dse.Explore.distinct;
   check "evaluations" 1 r.Dse.Explore.stats.Mccm.Eval_session.evaluations
 
+let test_explore_two_domains_count_once () =
+  (* Two domains split the distinct designs between the caller's session
+     and a sibling, and the result's counters sum both: each distinct
+     design is counted once, and the designs and front match one
+     domain's. *)
+  let run domains =
+    Dse.Explore.run ~seed:13L ~domains ~clamp:false ~samples:200 mobv2
+      Platform.Board.vcu110
+  in
+  let one = run 1 and two = run 2 in
+  check "evaluations = distinct" two.Dse.Explore.distinct
+    two.Dse.Explore.stats.Mccm.Eval_session.evaluations;
+  checkb "same evaluated" true
+    (one.Dse.Explore.evaluated = two.Dse.Explore.evaluated);
+  checkb "same front" true (one.Dse.Explore.front = two.Dse.Explore.front)
+
 let test_explore_repeat_on_session () =
   (* A second explore with the same seed on one session, as a daemon
      worker serves repeated requests: its designs come out of the
@@ -515,6 +531,8 @@ let () =
             test_explore_parallel_deterministic;
           Alcotest.test_case "domain-count invariant" `Quick
             test_explore_domain_count_invariant;
+          Alcotest.test_case "two domains count each design once" `Quick
+            test_explore_two_domains_count_once;
           Alcotest.test_case "parallel metrics" `Quick
             test_explore_parallel_matches_metrics;
           Alcotest.test_case "session binding" `Quick

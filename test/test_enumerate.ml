@@ -241,7 +241,7 @@ let test_bit_exact () =
 
 (* The pooled path must reproduce the reference winner too.  One shared
    pool serves every configuration and workload back-to-back, so
-   per-worker state leaking between runs (a stale fork, a stuck round)
+   per-worker state leaking between runs (a stale worker session, a stuck round)
    would surface as a wrong winner or a hang here. *)
 let test_pooled_bit_exact () =
   let pool = Util.Parallel.Pool.create ~clamp:false ~domains:4 () in

@@ -1,5 +1,5 @@
 (* Tests for the memoized evaluation session: cache accounting,
-   fork/absorb merging, and QCheck2 bit-exactness properties showing
+   cold siblings, and QCheck2 bit-exactness properties showing
    the caches are semantically invisible — cached evaluation is
    [Stdlib.(=)]-identical to the uncached path on random cases and on
    random local-search and exhaustive runs. *)
@@ -78,21 +78,25 @@ let test_batch_equals_map () =
         (m = Mccm.Evaluate.metrics mobv2 board archi))
     batch archis
 
-let test_fork_absorb () =
+let test_sibling_starts_cold () =
+  (* A sibling shares the parent's model, board, options and table but
+     none of its caches: a design the parent has already evaluated
+     misses in the sibling exactly as it first did in the parent, the
+     metrics are bit-identical, and nothing reaches the parent. *)
   let parent = Mccm.Eval_session.create mobv2 board in
   let archi = Arch.Baselines.hybrid ~ces:5 mobv2 in
-  let forked = Mccm.Eval_session.fork parent in
-  let mf = Mccm.Eval_session.metrics forked archi in
-  Mccm.Eval_session.absorb ~into:parent forked;
-  (* The fork's tables merged back: the parent serves the same
-     architecture from them, bit-identically and without a miss. *)
-  let absorbed = misses parent in
   let mp = Mccm.Eval_session.metrics parent archi in
-  checkb "absorbed entry is bit-identical" true (mf = mp);
-  check_misses "parent's request adds no segment or plan misses" absorbed
-    (misses parent);
-  check "fork's evaluation counted after absorb" 2
-    (Mccm.Eval_session.stats parent).Mccm.Eval_session.evaluations
+  let cold = misses parent in
+  let before = Mccm.Eval_session.stats parent in
+  let sib = Mccm.Eval_session.sibling parent in
+  let ms = Mccm.Eval_session.metrics sib archi in
+  checkb "sibling's metrics are bit-identical" true (mp = ms);
+  checkb "first request misses" true (fst cold > 0 && snd cold > 0);
+  check_misses "sibling misses like a cold session" cold (misses sib);
+  check "sibling counts its own evaluation" 1
+    (Mccm.Eval_session.stats sib).Mccm.Eval_session.evaluations;
+  checkb "parent's counters do not move" true
+    (before = Mccm.Eval_session.stats parent)
 
 (* ---------------------------------------- bit-exactness (properties) *)
 
@@ -185,7 +189,8 @@ let () =
           Alcotest.test_case "unmemoized only counts" `Quick
             test_unmemoized_only_counts;
           Alcotest.test_case "batch equals map" `Quick test_batch_equals_map;
-          Alcotest.test_case "fork and absorb" `Quick test_fork_absorb;
+          Alcotest.test_case "sibling starts cold" `Quick
+            test_sibling_starts_cold;
         ] );
       ("bit-exactness", properties);
     ]
